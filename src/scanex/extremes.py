@@ -373,9 +373,10 @@ def solve_lambda(p: PSequence, alpha: float) -> LambdaResult:
     """Locate the root lam of C in (1, 1 + l*p_1) by bisection.
 
     Needs p_1 <= alpha <= 0.1 and at least p_0 .. p_4 to form the centers.
-    The bisection interval is shrunk below 1e-13; ``residual_bound`` is the
-    series tail at the returned point, so ``|C(lam)| <= residual_bound``
-    up to the bracket width.
+    The bisection runs until the midpoint of the bracket equals one of its
+    ends, so lam lies within one ulp of the sign change of the evaluated
+    series; ``residual_bound`` is the series tail at the returned point, so
+    ``|C(lam)| <= residual_bound`` up to that ulp.
     """
     if not (0.0 < alpha <= ALPHA_MAX):
         raise ValueError("alpha out of range (0, 0.1]")
@@ -407,13 +408,13 @@ def solve_lambda(p: PSequence, alpha: float) -> LambdaResult:
     # signs here would mean the input is not a genuine 1-dependent p-sequence.
     if flo.value < -flo.tail_bound - _SLACK or fhi.value > fhi.tail_bound + _SLACK:
         raise RuntimeError("series has no sign change on the root bracket")
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if c_series_eval(p, mid).value > 0.0:
-            lo = mid
-        else:
-            hi = mid
     lam = 0.5 * (lo + hi)
+    while lo < lam < hi:
+        if c_series_eval(p, lam).value > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        lam = 0.5 * (lo + hi)
     return LambdaResult(
         lam=lam, bracket_low=1.0, bracket_high=1.0 + coeffs.l * p1,
         center_T1=mu2, bound_T1=bound_t1,

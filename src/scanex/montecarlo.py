@@ -75,12 +75,17 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
-def _window_maxima(bits: np.ndarray, m: int) -> np.ndarray:
-    """Row-wise maximum over all length-m window sums of a 0/1 matrix."""
-    cs = np.cumsum(bits, axis=1, dtype=np.int64)
+def _window_sums(bits: np.ndarray, m: int) -> np.ndarray:
+    """All length-m window sums along the rows of a 0/1 matrix.
+
+    Rows shorter than 2**15 accumulate in int16, which cannot overflow
+    there, so a chunk's counts take a quarter of the int64 memory.
+    """
+    dtype = np.int16 if bits.shape[1] < 1 << 15 else np.int64
+    cs = np.cumsum(bits, axis=1, dtype=dtype)
     wins = cs[:, m - 1:].copy()
     wins[:, 1:] -= cs[:, :-m]
-    return wins.max(axis=1)
+    return wins
 
 
 def _count_stream(spec: BernoulliScanSpec, reps: int, seed: int, stream: int) -> int:
@@ -91,7 +96,7 @@ def _count_stream(spec: BernoulliScanSpec, reps: int, seed: int, stream: int) ->
     while left > 0:
         rows = min(left, rows_cap)
         bits = rng.random((rows, spec.N)) < spec.p
-        hits += int((_window_maxima(bits, spec.m) <= spec.n).sum())
+        hits += int((_window_sums(bits, spec.m).max(axis=1) <= spec.n).sum())
         left -= rows
     return hits
 
@@ -143,9 +148,7 @@ def simulate_block_sequence(
     while left > 0:
         rows = min(left, rows_cap)
         bits = rng.random((rows, N)) < p
-        cs = np.cumsum(bits, axis=1, dtype=np.int64)
-        wins = cs[:, m - 1:].copy()
-        wins[:, 1:] -= cs[:, :-m]
+        wins = _window_sums(bits, m)
         # W_k = max over window starts (k-1)m .. km (0-based), k = 1..K
         W = np.stack(
             [wins[:, (k - 1) * m: k * m + 1].max(axis=1) for k in range(1, K + 1)],

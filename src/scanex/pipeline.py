@@ -39,7 +39,7 @@ from .extremes import (
     error_coefficients,
     legacy_scan_bound,
 )
-from .scan_exact import BernoulliScanSpec, exact_scan_cdf
+from .scan_exact import BernoulliScanSpec, _chain_survival
 
 __all__ = [
     "COEFF_TABLE_ALPHAS",
@@ -142,10 +142,6 @@ class TableResult:
     rows: tuple[tuple[str | None, ...], ...]
 
 
-def _block_cdf(m: int, p: float, k: int, n: int) -> float:
-    return exact_scan_cdf(BernoulliScanSpec(m=m, p=p, N=k * m, n=n))
-
-
 def scan_approximation(
     m: int,
     p: float,
@@ -159,19 +155,20 @@ def scan_approximation(
     q1 and q2 are computed exactly (2m and 3m trials), the level is set to
     alpha = 1 - q1, and the two-term approximation is raised to the power
     L - 1, the number of blocks.  ``want_T3`` additionally computes q3, q4
-    and the four-term approximation; ``want_exact`` runs the full chain on
-    L*m trials for comparison.
+    and the four-term approximation; ``want_exact`` also reads the exact
+    value at L*m trials.  One chain pass yields every block count needed.
     """
     if L < 2:
         raise ValueError("need L >= 2 (at least one complete block)")
-    q1 = _block_cdf(m, p, 2, n)
-    q2 = _block_cdf(m, p, 3, n)
+    BernoulliScanSpec(m=m, p=p, N=L * m, n=n)  # validates the inputs
+    blocks = [2, 3] + ([L] if want_exact else []) + ([4, 5] if want_T3 else [])
+    cdf = dict(zip(blocks, _chain_survival(m, p, n, [k * m for k in blocks])))
+    q1, q2 = cdf[2], cdf[3]
     alpha = 1.0 - q1
-    exact = _block_cdf(m, p, L, n) if want_exact else None
+    exact = cdf[L] if want_exact else None
     q3 = q4 = None
     if want_T3:
-        q3 = _block_cdf(m, p, 4, n)
-        q4 = _block_cdf(m, p, 5, n)
+        q3, q4 = cdf[4], cdf[5]
 
     t4 = approx_qn_T4(q1, q2, L - 1, min(alpha, 0.1))
     if isinstance(t4, Inapplicable):
@@ -200,16 +197,15 @@ def sandwich(m: int, p: float, N: int, n: int) -> SandwichResult:
     """Exact bracket for P(S_m(N) <= n) when N is not a multiple of m.
 
     With L = N // m, the CDF is nonincreasing in the trial count, so the
-    exact values at (L+1)m and Lm trials enclose it.  Both ends are chain
-    computations, not approximations.  N < m is degenerate (no window):
-    both ends are 1.
+    exact values at (L+1)m and Lm trials enclose it.  Both ends come from
+    one chain pass; they are exact values, not approximations.  N < m is
+    degenerate (no window): both ends are 1.
     """
     spec = BernoulliScanSpec(m=m, p=p, N=N, n=n)  # validates the inputs
     L = spec.N // spec.m
     if L == 0:
         return SandwichResult(lower=1.0, upper=1.0, L=0)
-    lower = _block_cdf(m, p, L + 1, n)
-    upper = _block_cdf(m, p, L, n)
+    lower, upper = _chain_survival(m, p, n, ((L + 1) * m, L * m))
     return SandwichResult(lower=lower, upper=upper, L=L)
 
 

@@ -121,9 +121,9 @@ def test_scan_exact_brute_engine_agrees(capsys):
 
 def test_scan_exact_capacity_exit_3(capsys):
     code, _, err = run_main(
-        capsys, "scan", "exact", "--m", "26", "--p", "0.5", "--N", "60", "--n", "2"
+        capsys, "scan", "exact", "--m", "26", "--p", "0.5", "--N", "60", "--n", "25"
     )
-    assert code == 3 and "m <= 25" in err
+    assert code == 3 and "states" in err
     code, _, err = run_main(
         capsys, "scan", "exact", "--m", "3", "--p", "0.5", "--N", "23", "--n", "1",
         "--engine", "brute",

@@ -31,6 +31,7 @@ from scanex.extremes import (
     solve_cubic_t2,
     solve_lambda,
 )
+from scanex.scan_exact import block_p_sequence
 
 # Published coefficient values (4 d.p. for l and K, 3 d.p. for Gamma).
 TABLE_COEFFS = {
@@ -244,6 +245,15 @@ def test_lambda_certificate():
         r = solve_lambda(p, p1)
         chk = c_series_eval(p, r.lam)
         assert abs(chk.value) <= r.residual_bound + 1e-12
+
+
+def test_lambda_within_t1_bound_of_center():
+    # the scan block law at m=9, p=0.05, n=5 has a T1 bound near 1e-14, which
+    # a bisection stopped at a fixed width of 1e-13 overshot
+    p = block_p_sequence(9, 0.05, 5, 8)
+    for alpha in (0.1, 0.05):
+        r = solve_lambda(p, alpha)
+        assert abs(r.lam - r.center_T1) <= r.bound_T1
 
 
 def test_lambda_degenerate_and_domain():

@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from scanex import pipeline, scan_exact
 from scanex.extremes import CapacityError, qn_from_p
-from scanex.pipeline import format_probability
+from scanex.pipeline import format_probability, sandwich, scan_approximation
 from scanex.scan_exact import (
+    MAX_CHAIN_STATES,
     BernoulliScanSpec,
-    EmbeddingChain,
+    _chain_survival,
+    _full_survival,
+    _ranked_survival,
     block_p_sequence,
     block_q_sequence,
     brute_force_scan_cdf,
@@ -103,6 +107,90 @@ def test_chain_matches_enumeration_on_grid():
                     assert abs(a - b) < 1e-12, spec
 
 
+def test_both_layouts_match_enumeration_on_grid():
+    for layout in (_ranked_survival, _full_survival):
+        for m in (2, 3, 4):
+            stops = list(range(m, 13))
+            for p in (0.2, 0.8):
+                for n in range(m):
+                    got = layout(m, p, n, stops)
+                    for N, a in zip(stops, got):
+                        b = brute_force_scan_cdf(BernoulliScanSpec(m, p, N, n))
+                        assert abs(a - b) < 1e-12, (layout.__name__, m, p, N, n)
+
+
+def test_one_pass_equals_separate_runs():
+    # m = 9: ranked for n <= 3, full from n = 4 on
+    for m, p, n in ((9, 0.05, 2), (9, 0.05, 3), (9, 0.05, 4), (9, 0.3, 8), (12, 0.1, 3)):
+        trials = [5 * m, 2 * m, m - 1, 3 * m + 4, 2 * m, 10 * m + 1]
+        got = _chain_survival(m, p, n, trials)
+        assert got == tuple(exact_scan_cdf(BernoulliScanSpec(m, p, N, n)) for N in trials)
+        assert got[2] == 1.0
+
+
+def no_run_cdf(m, p, N):
+    """P(no m successes in a row among N trials), by the first failure."""
+    a = [1.0] * m
+    for t in range(m, N + 1):
+        a.append(sum(p**j * (1.0 - p) * a[t - 1 - j] for j in range(m)))
+    return a[N]
+
+
+def test_dense_threshold_matches_no_run_recursion():
+    for m, p, N in ((6, 0.7, 61), (9, 0.5, 95), (12, 0.6, 130)):
+        got = exact_scan_cdf(BernoulliScanSpec(m, p, N, m - 1))
+        assert got == pytest.approx(no_run_cdf(m, p, N), rel=N * 2.0**-52)
+
+
+def test_wide_window_single_success_closed_form():
+    # n = 1: every two successes at least m apart
+    m, p, N = 40, 0.01, 400
+    want = sum(
+        math.comb(N - (k - 1) * (m - 1), k) * p**k * (1.0 - p) ** (N - k)
+        for k in range(N // (m - 1) + 2)
+        if N - (k - 1) * (m - 1) >= k
+    )
+    got = exact_scan_cdf(BernoulliScanSpec(m, p, N, 1))
+    assert got == pytest.approx(want, rel=N * 2.0**-52)
+
+
+def test_layout_follows_the_live_count(monkeypatch):
+    used = []
+    for layout in ("_ranked_survival", "_full_survival"):
+        real = getattr(scan_exact, layout)
+        monkeypatch.setattr(
+            scan_exact, layout,
+            lambda *a, real=real, name=layout: used.append(name) or real(*a),
+        )
+    # m = 9 has 256 masks: 93 live at n = 3, 163 at n = 4, all at n = 8
+    for n in (3, 4, 8):
+        exact_scan_cdf(BernoulliScanSpec(9, 0.05, 40, n))
+    assert used == ["_ranked_survival", "_full_survival", "_full_survival"]
+
+
+def test_each_question_is_one_engine_pass(monkeypatch):
+    calls = []
+    real = scan_exact._chain_survival
+
+    def counting(m, p, n, trials):
+        calls.append(max(trials))
+        return real(m, p, n, trials)
+
+    monkeypatch.setattr(scan_exact, "_chain_survival", counting)
+    monkeypatch.setattr(pipeline, "_chain_survival", counting)
+    scan_approximation(9, 0.05, 10, 3, want_exact=True, want_T3=True)
+    assert calls == [10 * 9]
+    calls.clear()
+    scan_approximation(9, 0.05, 3, 3, want_T3=True)
+    assert calls == [5 * 9]
+    calls.clear()
+    sandwich(9, 0.05, 93, 3)
+    assert calls == [11 * 9]
+    calls.clear()
+    block_q_sequence(9, 0.05, 3, kmax=8)
+    assert calls == [9 * 9]
+
+
 def test_published_q1_value():
     got = exact_scan_cdf(BernoulliScanSpec(9, 0.05, 18, 2))
     assert format_probability(got) == "0.97131"
@@ -123,23 +211,22 @@ def test_monotonicity():
 
 
 def test_chain_mass_conservation():
-    chain = EmbeddingChain(4, 1)
-    v = chain.initial()
-    prev_total = 1.0
-    for t in range(1, 26):
-        v = chain.step(v, 0.35, t)
-        assert (v >= -1e-18).all()
-        total = float(v.sum())
-        assert total <= prev_total + 1e-15  # mass only leaves, never returns
-        prev_total = total
-    absorbed = 1.0 - prev_total
-    assert 0.0 <= absorbed <= 1.0
-    assert abs(prev_total + absorbed - 1.0) < 1e-12
+    # the totals after every single step: mass only leaves, never returns
+    for layout in (_ranked_survival, _full_survival):
+        for n in range(4):
+            totals = layout(4, 0.35, n, list(range(1, 26)))
+            assert totals[0] == pytest.approx(1.0 if n else 0.65, abs=1e-15)
+            assert all(0.0 <= b <= a + 1e-15 for a, b in zip(totals, totals[1:]))
 
 
 def test_capacity_limits():
-    with pytest.raises(CapacityError):
-        exact_scan_cdf(BernoulliScanSpec(26, 0.5, 60, 2))
+    # pruning lets m = 26 run at small n; the budget counts states, not m
+    assert 0.0 < exact_scan_cdf(BernoulliScanSpec(26, 0.5, 60, 2)) < 1.0
+    with pytest.raises(CapacityError, match="states"):
+        exact_scan_cdf(BernoulliScanSpec(26, 0.5, 60, 25))  # 2**25 masks
+    with pytest.raises(CapacityError, match="63 bits"):
+        exact_scan_cdf(BernoulliScanSpec(65, 0.5, 100, 1))
+    assert MAX_CHAIN_STATES == 1 << 24
     with pytest.raises(CapacityError):
         brute_force_scan_cdf(BernoulliScanSpec(3, 0.5, 23, 1))
 
