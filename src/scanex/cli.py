@@ -158,24 +158,33 @@ def _cmd_scan_approx(args) -> int:
         args.m, args.p, args.L, args.n,
         want_exact=args.with_exact, want_T3=args.t3,
     )
+
+    # csv and json carry full precision; only md shows the paper's digits
+    md = args.format == "md"
+
+    def prob(v):
+        return format_probability(v) if md and v is not None else v
+
+    def bound(v):
+        return format_bound(v) if md and v is not None else v
+
     pairs: list[tuple[str, object]] = [
         ("m", r.m), ("p", r.p), ("L", r.L), ("n", r.n),
-        ("q1", format_probability(r.q1)),
-        ("q2", format_probability(r.q2)),
-        ("approx", None if r.approx_T4 is None else format_probability(r.approx_T4)),
-        ("exact", None if r.exact is None else format_probability(r.exact)),
-        ("EH", None if r.EH is None else format_bound(r.EH)),
-        ("E", None if r.E is None else format_bound(r.E)),
+        ("q1", prob(r.q1)),
+        ("q2", prob(r.q2)),
+        ("approx", prob(r.approx_T4)),
+        ("exact", prob(r.exact)),
+        ("EH", bound(r.EH)),
+        ("E", bound(r.E)),
         ("alpha", r.alpha_used),
         ("range_exceeded", int(r.range_exceeded)),
     ]
     if args.t3:
         pairs += [
-            ("q3", None if r.q3 is None else format_probability(r.q3)),
-            ("q4", None if r.q4 is None else format_probability(r.q4)),
-            ("approx_T3",
-             None if r.approx_T3 is None else format_probability(r.approx_T3)),
-            ("E_T3", None if r.E_T3 is None else format_bound(r.E_T3)),
+            ("q3", prob(r.q3)),
+            ("q4", prob(r.q4)),
+            ("approx_T3", prob(r.approx_T3)),
+            ("E_T3", bound(r.E_T3)),
         ]
     _emit_record(pairs, args.format)
     if r.range_exceeded:

@@ -2,11 +2,12 @@
 
 ``S_m(N)`` is the largest number of successes in any window of ``m``
 consecutive trials among ``N``.  The central object is the CDF value
-``P(S_m(N) <= n)``, computed exactly by evolving the occupancy of the last
-``m - 1`` trials as a Markov chain with one absorbing failure state.  One
-pass of the chain answers every requested trial count on the way.  A
-direct enumeration over all ``2**N`` outcomes is included as an independent
-cross-check for small ``N``.
+``P(S_m(N) <= n)``, computed exactly by a Markov chain over the C(m, n)
+ways the next m trials can still spend a budget of n successes (the
+minimal automaton of the question), run backward from the end.  One pass
+answers every requested trial count on the way.  A direct enumeration
+over all ``2**N`` outcomes is included as an independent cross-check for
+small ``N``.
 
 The block view groups the trials into stretches of length ``m`` and looks
 at ``W_k``, the largest window sum among windows starting inside block
@@ -17,8 +18,8 @@ to the approximation machinery in :mod:`scanex.extremes`:
 * ``block_q_sequence``  ->  q_k = P(max(W_1..W_k) <= n) = P(S_m((k+1)m) <= n)
 * ``block_p_sequence``  ->  p_k = P(min(W_1..W_k) > n)
 
-Exact computations refuse to run past hard resource caps (a chain holding
-more than ``MAX_CHAIN_STATES = 2**24`` states or masks wider than 63 bits,
+Exact computations refuse to run past hard resource caps (a chain of more
+than ``MAX_CHAIN_STATES = 2**24`` states or words wider than 63 bits,
 ``N <= 22`` for enumeration, ``kmax <= 8`` for the joint block law) instead
 of silently thrashing.
 """
@@ -43,7 +44,10 @@ __all__ = [
     "block_p_sequence",
 ]
 
-MAX_CHAIN_STATES = 1 << 24  # the 2**(m-1) masks of m = 25
+# C(m, n) chain states, at a peak of 56 + 32 n/m bytes each (while the
+# successor index is built): every n fits up to m = 26, where C(26, 13) =
+# 10 400 600 states take about 0.75 GB
+MAX_CHAIN_STATES = 1 << 24
 MAX_BRUTE_N = 22   # enumeration touches 2**N outcomes
 MAX_BLOCK_K = 8    # joint block law: (kmax+1)*m chain steps with flag doubling
 
@@ -78,19 +82,6 @@ def _popcount_u32(codes: np.ndarray) -> np.ndarray:
     return ((s * np.uint32(0x01010101)) >> 24).astype(np.int64)
 
 
-def _live_masks(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks over m - 1 bits with at most n set bits, ascending, and their
-    bit counts.  Built bit by bit, so its cost follows the live count, not
-    2**(m-1)."""
-    masks = np.zeros(1, dtype=np.int64)
-    pc = np.zeros(1, dtype=np.int64)
-    for bit in range(m - 1):
-        grow = pc < n
-        masks = np.concatenate((masks, masks[grow] | (1 << bit)))
-        pc = np.concatenate((pc, pc[grow] + 1))
-    return masks, pc
-
-
 def _fold(a0: np.ndarray, a1: np.ndarray, q: float, p: float, out: np.ndarray) -> None:
     """Push one trial into every mask, s -> ((s << 1) | bit) mod M, into ``out``.
 
@@ -111,114 +102,112 @@ def _fold(a0: np.ndarray, a1: np.ndarray, q: float, p: float, out: np.ndarray) -
     np.multiply(merged, p, out=out[1::2])
 
 
-# The chain holds the masks of the last m - 1 trials.  A mask with more than
-# n set bits lies inside a window still to be completed (N >= m), so its
-# mass dies anyway and is dropped at once.  Then a predecessor s may append
-# bit b exactly when popcount(s) + b <= n, at every step.  For a live mask
-# s' the predecessor s' >> 1 always may; the one that also holds the oldest
-# bit, (s' >> 1) | M/2, may only when popcount(s') < n.  Pruned mass would
-# only change the survival before trial m, which callers never read.
+# The chain is the minimal automaton of the question "has any window of m
+# trials held more than n successes?".  Given the past, let cap(k) be the
+# largest number of successes the next k trials may hold without any window
+# exceeding n.  The window that ends at future trial k allows n minus the
+# successes among the last m - k past trials, a bound that never falls as k
+# grows; closing it under cap(k) <= cap(k - 1) + 1 gives a path from
+# cap(0) = 0 to cap(m) = n in steps of 0 or 1.  Pasts with the same path have
+# the same future, so they merge into one state: the word w whose bit k - 1
+# is d_k = cap(k) - cap(k - 1), m bits with exactly n ones.  Moore refinement
+# of the mask chain finds exactly these C(m, n) classes for every m <= 10
+# (tests/test_scan_exact.py), against up to 2**(m-1) masks: n = m - 1 needs
+# only m states.
 #
-# Two layouts hold the same chain and give the same per-state values:
+# With y = w >> 1, the next trial maps w to
 #
-# * ranked: only the K live masks, stepped by gathering each mask's two
-#   predecessors (a dead one reads a zero slot);
-# * full: all M = 2**(m-1) masks, folded into a second buffer each step.
+# * success (needs d_1 = 1, w odd): y | 1 << (m - 1), every cap drops by one
+#   and the window ending m trials ahead gets its full n;
+# * failure: y if w is even; if w is odd, the unit d_1 held is free again and
+#   moves to the lowest zero bit, y | (y + 1).
 #
-# The layout follows from K alone: ranked when K < M/2.  Measured at m = 20,
-# N = 205 on one core, the ranked gather costs 4.5-7.4 ns per live state
-# and step, the fold 1.8-2.7 ns per mask and step, and the chain before
-# pruning took 4.9-5.7 ns per mask and step.  Below M/2 the ranked layout
-# thus costs under 3.7 ns per mask, and at the largest live count below
-# M/2 (K = 0.32 M at m = 20) both layouts cost about the same; above it
-# the fold is cheaper.  Neither layout is slower than the unpruned chain.
+# The empty past, cap(k) = min(k, n), is w0 = (1 << n) - 1.  The chain runs
+# backward: u_0 = 1 and u_{t+1}(w) = q u_t(fail(w)) + p [w odd] u_t(succ(w))
+# is the chance that t more trials from w keep every window at or below n.
+# So P(S_m(N) <= n) = u_N(w0) for N >= m, and one pass reads every stop.
+# Before trial m, u_N(w0) also counts the windows cut short by the start,
+# which callers never read.
 
 
-def _ranked_survival(m: int, p: float, n: int, stops: list[int]) -> list[float]:
-    """Pruned chain on the live masks only; total live mass at each stop.
+def _budget_words(m: int, n: int) -> np.ndarray:
+    """The C(m, n) words of m bits with n ones: even words, then odd words,
+    each block ascending.  Bits are placed from bit 1 up and bit 0 last, and
+    a prefix is kept only while it can still reach n ones, so the cost
+    follows C(m, n), not 2**m."""
+    words = np.zeros(1, dtype=np.int64)
+    ones = np.zeros(1, dtype=np.int64)
+    for i, bit in enumerate((*range(1, m), 0)):
+        zero = ones + (m - 1 - i) >= n
+        one = ones < n
+        words = np.concatenate((words[zero], words[one] | (1 << bit)))
+        ones = np.concatenate((ones[zero], ones[one] + 1))
+    return words
 
-    ``stops`` ascend; the totals equal P(S_m(t) <= n) for stops t >= m.
+
+def _successor_index(m: int, n: int) -> np.ndarray:
+    """Positions, in ``_budget_words(m, n)`` order, of every word's failure
+    successor and then of every odd word's success successor."""
+    words = _budget_words(m, n)
+    E = math.comb(m - 1, n)  # even words
+    y = words >> 1
+    succ = y[E:] | (1 << (m - 1))
+    fail = np.concatenate((y[:E], y[E:] | (y[E:] + 1)))
+
+    def key(w):  # rotating right by one bit maps the state order onto ascending keys
+        return (w >> 1) | ((w & 1) << (m - 1))
+
+    return np.searchsorted(key(words), key(np.concatenate((fail, succ))))
+
+
+def _survival_vectors(m: int, p: float, n: int, stops):
+    """Yield u_t over the words of ``_budget_words(m, n)`` at each of the
+    ascending ``stops``, as a view of a buffer the next step overwrites.
+
+    A step is one gather of the S = C(m, n) failure successors and the
+    C(m - 1, n - 1) success successors, one scaling by q or p and one add
+    into the odd block.
     """
-    masks, pc = _live_masks(m, n)
-    K = masks.shape[0]
-    low = np.searchsorted(masks, masks >> 1)
-    high = np.searchsorted(masks, (masks >> 1) | (1 << (m - 2)))
-    high[pc >= n] = K
-    weight = np.where(masks & 1, p, 1.0 - p)
-    v = np.zeros(K + 1)  # slot K stays zero
-    v[0] = 1.0
-    live = v[:K]
-    a = np.empty(K)
-    b = np.empty(K)
-    out = []
+    idx = _successor_index(m, n)
+    S = math.comb(m, n)
+    E = math.comb(m - 1, n)
+    weight = np.concatenate((np.full(S, 1.0 - p), np.full(S - E, p)))
+    size = idx.shape[0]
+    cur, nxt = ((u, u[E:S], u[S:]) for u in (np.ones(size), np.empty(size)))
     t = 0
     for stop in stops:
         for _ in range(stop - t):
-            np.take(v, low, out=a)
-            np.take(v, high, out=b)
-            np.add(a, b, out=a)
-            np.multiply(a, weight, out=live)
+            u, odd, succ = nxt
+            # every index is in range; "clip" skips a buffered bounds check
+            cur[0].take(idx, out=u, mode="clip")
+            np.multiply(u, weight, out=u)
+            np.add(odd, succ, out=odd)
+            cur, nxt = nxt, cur
         t = stop
-        out.append(float(live.sum()))
-    return out
-
-
-def _full_survival(m: int, p: float, n: int, stops: list[int]) -> list[float]:
-    """Pruned chain on all 2**(m-1) masks; total mass at each stop.
-
-    Dead masks hold zero.  After the fold, a success appended to merged
-    mask j is wrong only where j holds n set bits (then 2j + 1 is dead) or
-    n - 1 (then only the predecessor without the oldest bit may append it).
-    """
-    M = 1 << (m - 1)
-    q = 1.0 - p
-    pc = _live_masks(m - 1, m - 2)[1]  # bit counts of the merged masks j < M/2
-    full = 2 * np.flatnonzero(pc == n) + 1
-    edge = np.flatnonzero(pc == n - 1)
-    edge_odd = 2 * edge + 1
-    v = np.zeros(M)
-    v[0] = 1.0
-    nv = np.empty(M)
-    out = []
-    t = 0
-    for stop in stops:
-        for _ in range(stop - t):
-            _fold(v, v, q, p, nv)
-            nv[full] = 0.0
-            nv[edge_odd] = v[edge] * p
-            v, nv = nv, v
-        t = stop
-        out.append(float(v.sum()))
-    return out
+        yield cur[0][:S]
 
 
 def _chain_survival(m: int, p: float, n: int, trials) -> tuple[float, ...]:
     """P(S_m(N) <= n) for every N in ``trials``, from one pass of the chain.
 
-    The pass runs to the largest N; runtime is O(N * K) for the K states the
-    chosen layout holds.  Raises CapacityError past ``MAX_CHAIN_STATES`` or
-    for masks wider than 63 bits.
+    The pass runs to the largest N over the C(m, n) states of the minimal
+    chain, in O(N * C(m, n)) time.  Raises CapacityError past
+    ``MAX_CHAIN_STATES`` states or for words wider than 63 bits.
     """
     if n >= m:
         return tuple(1.0 for _ in trials)
-    if m == 1:
-        # n = 0 here: every trial is its own window.
-        return tuple((1.0 - p) ** N for N in trials)
     stops = sorted({N for N in trials if N >= m})
     at = {}
     if stops:
-        if m - 1 > 63:
-            raise CapacityError("chain masks limited to 63 bits (m <= 64)")
-        M = 1 << (m - 1)
-        K = sum(math.comb(m - 1, k) for k in range(n + 1))
-        ranked = 2 * K < M
-        states = K if ranked else M
+        if m > 63:
+            raise CapacityError("chain words limited to 63 bits (m <= 63)")
+        states = math.comb(m, n)
         if states > MAX_CHAIN_STATES:
             raise CapacityError(
                 f"chain limited to {MAX_CHAIN_STATES} states; m={m}, n={n} needs {states}"
             )
-        layout = _ranked_survival if ranked else _full_survival
-        at = dict(zip(stops, layout(m, p, n, stops)))
+        w0 = math.comb(m - 1, n) if n else 0  # (1 << n) - 1, the first odd word
+        at = {N: float(u[w0]) for N, u in zip(stops, _survival_vectors(m, p, n, stops))}
     return tuple(at.get(N, 1.0) for N in trials)
 
 
@@ -226,10 +215,10 @@ def exact_scan_cdf(spec: BernoulliScanSpec) -> float:
     """P(S_m(N) <= n), exact.
 
     Degenerate inputs resolve to certainty: n >= m (no window can exceed)
-    and N < m (no window exists) both give 1.  Runtime is O(N * K), where K
-    is the number of masks of m - 1 bits with at most n set bits, or
-    2**(m-1) when that is at least half of them.  A chain of more than
-    ``MAX_CHAIN_STATES`` states raises CapacityError.
+    and N < m (no window exists) both give 1.  The chain holds C(m, n)
+    states, so runtime is O(N * C(m, n)) and memory at most 88 bytes per
+    state.  More than ``MAX_CHAIN_STATES`` states, or m > 63, raises
+    CapacityError.
     """
     return _chain_survival(spec.m, spec.p, spec.n, (spec.N,))[0]
 
@@ -288,7 +277,7 @@ def block_p_sequence(m: int, p: float, n: int, kmax: int) -> PSequence:
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
 
-    pc = _live_masks(m, m - 1)[1]
+    pc = _popcount_u32(np.arange(M))
     # does the window completed by appending bit b stay at or below n
     keep0 = (pc <= n).astype(float)
     keep1 = (pc < n).astype(float)

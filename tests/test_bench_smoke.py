@@ -1,8 +1,10 @@
-"""The chain-large benchmark in quick mode, against its own closed forms.
+"""The chain-large and paper-sweep benchmarks in quick mode, against their
+own checks.
 
-The benchmark checks every chain value against formulas computed without
+chain-large checks every chain value against formulas computed without
 scanex (the n = 1 closed form, the no-run recursion at n = m - 1, window
-bounds, monotonicity), so this puts those checks on the chain engine.
+bounds, monotonicity).  paper-sweep checks the published table digits and
+the approximation certificates.  Both run the chain engine.
 """
 
 import json
@@ -10,12 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_chain_large_quick_run_is_correct():
+@pytest.mark.parametrize("workload", ["chain-large", "paper-sweep"])
+def test_quick_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "chain-large",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--quick", "--seconds", "0.5", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )

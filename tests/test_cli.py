@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from scanex.cli import main
+from scanex.pipeline import scan_approximation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -121,7 +122,7 @@ def test_scan_exact_brute_engine_agrees(capsys):
 
 def test_scan_exact_capacity_exit_3(capsys):
     code, _, err = run_main(
-        capsys, "scan", "exact", "--m", "26", "--p", "0.5", "--N", "60", "--n", "25"
+        capsys, "scan", "exact", "--m", "27", "--p", "0.5", "--N", "60", "--n", "13"
     )
     assert code == 3 and "states" in err
     code, _, err = run_main(
@@ -131,14 +132,20 @@ def test_scan_exact_capacity_exit_3(capsys):
     assert code == 3
 
 
+def parse_md(text):
+    header, _, row = [
+        [c.strip() for c in line.strip().strip("|").split("|")]
+        for line in text.splitlines()
+    ]
+    return dict(zip(header, row))
+
+
 def test_scan_approx_published_row(capsys):
-    code, out, _ = run_main(
-        capsys, "scan", "approx", "--m", "9", "--p", "0.05", "--L", "10", "--n", "3",
-        "--with-exact",
-    )
+    argv = ("scan", "approx", "--m", "9", "--p", "0.05", "--L", "10", "--n", "3",
+            "--with-exact")
+    code, out, _ = run_main(capsys, *argv, "--format", "md")
     assert code == 0
-    header, rows = parse_csv(out)
-    rec = dict(zip(header, rows[0]))
+    rec = parse_md(out)
     assert rec["q1"] == "0.99716"
     assert rec["q2"] == "0.99500"
     assert rec["approx"] == "0.98001"
@@ -146,6 +153,28 @@ def test_scan_approx_published_row(capsys):
     assert rec["EH"] == "0.00032"
     assert rec["E"] == "0.00010"
     assert rec["range_exceeded"] == "0"
+    # csv carries the API's floats exactly
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    header, rows = parse_csv(out)
+    rec = dict(zip(header, rows[0]))
+    r = scan_approximation(9, 0.05, 10, 3, want_exact=True)
+    want = {"q1": r.q1, "q2": r.q2, "approx": r.approx_T4, "exact": r.exact,
+            "EH": r.EH, "E": r.E, "alpha": r.alpha_used}
+    assert {k: float(rec[k]) for k in want} == want
+
+
+def test_scan_approx_json_is_full_precision(capsys):
+    code, out, _ = run_main(
+        capsys, "scan", "approx", "--m", "9", "--p", "0.05", "--L", "10", "--n", "6",
+        "--with-exact", "--t3", "--format", "json",
+    )
+    assert code == 0
+    got = json.loads(out)
+    r = scan_approximation(9, 0.05, 10, 6, want_exact=True, want_T3=True)
+    assert got["q1"] == r.q1 != 1.0
+    for key, val in (("exact", r.exact), ("approx_T3", r.approx_T3), ("E_T3", r.E_T3)):
+        assert got[key] == val
 
 
 def test_scan_approx_t3_columns(capsys):

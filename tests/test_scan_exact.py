@@ -11,9 +11,9 @@ from scanex.pipeline import format_probability, sandwich, scan_approximation
 from scanex.scan_exact import (
     MAX_CHAIN_STATES,
     BernoulliScanSpec,
+    _budget_words,
     _chain_survival,
-    _full_survival,
-    _ranked_survival,
+    _survival_vectors,
     block_p_sequence,
     block_q_sequence,
     brute_force_scan_cdf,
@@ -107,20 +107,52 @@ def test_chain_matches_enumeration_on_grid():
                     assert abs(a - b) < 1e-12, spec
 
 
-def test_both_layouts_match_enumeration_on_grid():
-    for layout in (_ranked_survival, _full_survival):
-        for m in (2, 3, 4):
-            stops = list(range(m, 13))
-            for p in (0.2, 0.8):
-                for n in range(m):
-                    got = layout(m, p, n, stops)
-                    for N, a in zip(stops, got):
-                        b = brute_force_scan_cdf(BernoulliScanSpec(m, p, N, n))
-                        assert abs(a - b) < 1e-12, (layout.__name__, m, p, N, n)
+def test_engine_matches_enumeration_every_threshold():
+    for m in range(1, 7):
+        stops = list(range(m, 17))
+        for p in (0.0, 0.2, 0.8, 1.0):
+            for n in range(m):
+                got = _chain_survival(m, p, n, stops)
+                for N, a in zip(stops, got):
+                    b = brute_force_scan_cdf(BernoulliScanSpec(m, p, N, n))
+                    assert abs(a - b) < 1e-12, (m, p, N, n)
+
+
+def mask_automaton_classes(m: int, n: int) -> int:
+    """Moore refinement of the mask chain: the live masks of the last m - 1
+    trials (at most n set bits) plus one dead state, with "alive" as output.
+    Returns the number of classes of live masks."""
+    M = 1 << (m - 1)
+    live = [s for s in range(M) if bin(s).count("1") <= n]
+    dead = M
+
+    def step(s, b):
+        ok = s != dead and bin(s).count("1") + b <= n
+        return ((s << 1) | b) % M if ok else dead
+
+    cls = {s: 0 for s in live} | {dead: 1}
+    while True:
+        sig = {s: (cls[s], cls[step(s, 0)], cls[step(s, 1)]) for s in cls}
+        names = {v: i for i, v in enumerate(sorted(set(sig.values())))}
+        new = {s: names[v] for s, v in sig.items()}
+        if len(names) == len(set(cls.values())):
+            return len({new[s] for s in live})
+        cls = new
+
+
+def test_state_count_is_binomial_and_minimal():
+    for m in range(1, 11):
+        for n in range(m):
+            words = _budget_words(m, n)
+            assert words.shape[0] == math.comb(m, n) == mask_automaton_classes(m, n)
+            assert all(bin(int(w)).count("1") == n for w in words)
+            # even words first, each block ascending
+            E = math.comb(m - 1, n)
+            assert not (words[:E] & 1).any() and (words[E:] & 1).all()
+            assert (np.diff(words[:E]) > 0).all() and (np.diff(words[E:]) > 0).all()
 
 
 def test_one_pass_equals_separate_runs():
-    # m = 9: ranked for n <= 3, full from n = 4 on
     for m, p, n in ((9, 0.05, 2), (9, 0.05, 3), (9, 0.05, 4), (9, 0.3, 8), (12, 0.1, 3)):
         trials = [5 * m, 2 * m, m - 1, 3 * m + 4, 2 * m, 10 * m + 1]
         got = _chain_survival(m, p, n, trials)
@@ -137,9 +169,19 @@ def no_run_cdf(m, p, N):
 
 
 def test_dense_threshold_matches_no_run_recursion():
-    for m, p, N in ((6, 0.7, 61), (9, 0.5, 95), (12, 0.6, 130)):
+    # n = m - 1 needs only m states
+    for m, p, N in (
+        (6, 0.7, 61), (9, 0.5, 95), (12, 0.6, 130), (20, 0.8, 400), (40, 0.95, 600),
+        (62, 0.97, 700),
+    ):
         got = exact_scan_cdf(BernoulliScanSpec(m, p, N, m - 1))
+        assert 0.0 < got < 1.0
         assert got == pytest.approx(no_run_cdf(m, p, N), rel=N * 2.0**-52)
+
+
+def test_wide_dense_threshold_runs():
+    # 40 successes in a row at p = 0.05 is below 1e-51: the value rounds to 1
+    assert exact_scan_cdf(BernoulliScanSpec(40, 0.05, 400, 39)) == 1.0
 
 
 def test_wide_window_single_success_closed_form():
@@ -152,20 +194,6 @@ def test_wide_window_single_success_closed_form():
     )
     got = exact_scan_cdf(BernoulliScanSpec(m, p, N, 1))
     assert got == pytest.approx(want, rel=N * 2.0**-52)
-
-
-def test_layout_follows_the_live_count(monkeypatch):
-    used = []
-    for layout in ("_ranked_survival", "_full_survival"):
-        real = getattr(scan_exact, layout)
-        monkeypatch.setattr(
-            scan_exact, layout,
-            lambda *a, real=real, name=layout: used.append(name) or real(*a),
-        )
-    # m = 9 has 256 masks: 93 live at n = 3, 163 at n = 4, all at n = 8
-    for n in (3, 4, 8):
-        exact_scan_cdf(BernoulliScanSpec(9, 0.05, 40, n))
-    assert used == ["_ranked_survival", "_full_survival", "_full_survival"]
 
 
 def test_each_question_is_one_engine_pass(monkeypatch):
@@ -211,21 +239,26 @@ def test_monotonicity():
 
 
 def test_chain_mass_conservation():
-    # the totals after every single step: mass only leaves, never returns
-    for layout in (_ranked_survival, _full_survival):
-        for n in range(4):
-            totals = layout(4, 0.35, n, list(range(1, 26)))
-            assert totals[0] == pytest.approx(1.0 if n else 0.65, abs=1e-15)
-            assert all(0.0 <= b <= a + 1e-15 for a, b in zip(totals, totals[1:]))
+    # u_t(w) is the chance that t more trials from w stay at or below n:
+    # a probability, and one that can only fall as t grows
+    for m in (4, 7):
+        for p in (0.05, 0.35, 0.9):
+            for n in range(m):
+                u = [v.copy() for v in _survival_vectors(m, p, n, range(26))]
+                assert (u[0] == 1.0).all()
+                for a, b in zip(u, u[1:]):
+                    assert ((0.0 <= b) & (b <= a)).all(), (m, p, n)
 
 
 def test_capacity_limits():
-    # pruning lets m = 26 run at small n; the budget counts states, not m
+    # the budget counts the C(m, n) states, not m
     assert 0.0 < exact_scan_cdf(BernoulliScanSpec(26, 0.5, 60, 2)) < 1.0
+    got = exact_scan_cdf(BernoulliScanSpec(26, 0.5, 60, 25))  # 26 states
+    assert got == pytest.approx(no_run_cdf(26, 0.5, 60), rel=60 * 2.0**-52)
     with pytest.raises(CapacityError, match="states"):
-        exact_scan_cdf(BernoulliScanSpec(26, 0.5, 60, 25))  # 2**25 masks
+        exact_scan_cdf(BernoulliScanSpec(27, 0.5, 60, 13))  # C(27, 13) = 20 058 300
     with pytest.raises(CapacityError, match="63 bits"):
-        exact_scan_cdf(BernoulliScanSpec(65, 0.5, 100, 1))
+        exact_scan_cdf(BernoulliScanSpec(64, 0.5, 100, 1))
     assert MAX_CHAIN_STATES == 1 << 24
     with pytest.raises(CapacityError):
         brute_force_scan_cdf(BernoulliScanSpec(3, 0.5, 23, 1))
