@@ -33,12 +33,12 @@ from .extremes import (
 )
 from .montecarlo import SimulationPlan, simulate_scan_cdf
 from .pipeline import (
+    _coeff_cells,
     format_bound,
     format_probability,
     reproduce_table,
     sandwich,
     scan_approximation,
-    truncate,
 )
 from .scan_exact import (
     BernoulliScanSpec,
@@ -95,24 +95,7 @@ def _emit_record(pairs: list[tuple[str, object]], fmt: str) -> None:
 
 
 def _cmd_coeffs(args) -> int:
-    c = error_coefficients(args.alpha)
-    k4 = round(c.K, 4)
-    g3 = round(c.Gamma, 3)
-    _emit_record(
-        [
-            ("alpha", f"{c.alpha:.3f}"),
-            ("t2", f"{c.t2:.6f}"),
-            ("l", f"{truncate(c.l, 4):.4f}"),
-            ("eta", f"{c.eta:.6f}"),
-            ("K", f"{k4:.4f}"),
-            ("L", f"{round(c.Lcoef, 3):.3f}"),
-            ("E", f"{round(c.Ecoef, 3):.3f}"),
-            ("Gamma", f"{g3:.3f}"),
-            ("1+alpha*K", f"{truncate(1.0 + c.alpha * k4, 4):.4f}"),
-            ("3+alpha*Gamma", f"{truncate(3.0 + c.alpha * g3, 4):.4f}"),
-        ],
-        args.format,
-    )
+    _emit_record(list(_coeff_cells(error_coefficients(args.alpha)).items()), args.format)
     return 0
 
 

@@ -18,7 +18,8 @@ This module provides:
   solver for ``lam`` with explicit bracket and proximity bounds;
 * the recursions between the ``p`` and ``q`` families;
 * closed-form approximations for ``q_n`` built from ``q_1 .. q_4`` alone,
-  with fully explicit error terms (``approx_qn_T3``, ``approx_qn_T4``);
+  with fully explicit error terms (``approx_qn_T3``, ``approx_qn_T4``):
+  T4 = nu1 / C1**n and T3 = mu1 / T1**n, the centers at p = p_from_q(q);
 * the older third-order bounds with fixed constants 87 and 561, kept for
   comparison on their narrower range ``p_1 <= 0.025``.
 
@@ -386,21 +387,11 @@ def solve_lambda(p: PSequence, alpha: float) -> LambdaResult:
     if p1 > alpha + _SLACK:
         raise ValueError("p_1 must not exceed alpha")
 
-    p2, p3, p4 = p.p(2), p.p(3), p.p(4)
-    mu2 = 1.0 + p1 - p2 + p3 - p4 + 2.0 * p1 * p1 + 3.0 * p2 * p2 - 5.0 * p1 * p2
-    c1 = 1.0 + p1 - p2 + 2.0 * (p1 - p2) ** 2
+    c1, t1, _, _ = _centers(p1, p.p(2), p.p(3), p.p(4))
     coeffs = error_coefficients(alpha)
     bound_t1 = coeffs.K * p1**3
     bound_c1 = (1.0 + alpha * coeffs.K) * p1 * p1
-
-    if p1 == 0.0:
-        return LambdaResult(
-            lam=1.0, bracket_low=1.0, bracket_high=1.0,
-            center_T1=mu2, bound_T1=bound_t1,
-            center_C1=c1, bound_C1=bound_c1,
-            residual_bound=0.0,
-        )
-
+    # p_1 = 0 (every p_k = 0) gives lo = hi = lam = 1 and a zero tail
     lo, hi = 1.0, 1.0 + coeffs.l * p1
     flo = c_series_eval(p, lo)
     fhi = c_series_eval(p, hi)
@@ -417,7 +408,7 @@ def solve_lambda(p: PSequence, alpha: float) -> LambdaResult:
         lam = 0.5 * (lo + hi)
     return LambdaResult(
         lam=lam, bracket_low=1.0, bracket_high=1.0 + coeffs.l * p1,
-        center_T1=mu2, bound_T1=bound_t1,
+        center_T1=t1, bound_T1=bound_t1,
         center_C1=c1, bound_C1=bound_c1,
         residual_bound=c_series_eval(p, lam).tail_bound,
     )
@@ -440,21 +431,63 @@ def qn_from_p(p: PSequence, n: int) -> float:
     return q[n + 1]
 
 
+def _centers(p1: float, p2: float, p3: float, p4: float) -> tuple[float, ...]:
+    """The rational centers (C1, T1, nu1, mu1) at (p_1, .., p_4).
+
+    C1 and T1 center lam to second and third order, nu1 and mu1 center
+    q_n * lam**n.  T1 and mu1 sum their small terms before adding 1.  C1
+    keeps the order 1 + d + 2 d**2 of the printed two-term approximant, so
+    that nu1 / C1**n is that approximant bit for bit.
+    """
+    d = p1 - p2
+    c1 = 1.0 + d + 2.0 * d * d
+    t1 = 1.0 + (d + p3 - p4 + 2.0 * p1 * p1 + 3.0 * p2 * p2 - 5.0 * p1 * p2)
+    mu1 = 1.0 - (p2 - 2.0 * p3 + 3.0 * p4 - p1 * p1 - 6.0 * p2 * p2 + 6.0 * p1 * p2)
+    return c1, t1, 1.0 - p2, mu1
+
+
+def _p_tuple(q1: float, q2: float, q3: float, q4: float) -> tuple[float, ...]:
+    """(p_1, .., p_4) from (q_1, .., q_4), in the complements a_k = 1 - q_k,
+    which are exact for q_k >= 1/2."""
+    a1, a2, a3, a4 = 1.0 - q1, 1.0 - q2, 1.0 - q3, 1.0 - q4
+    return (a1, 2.0 * a1 - a2, a1 + a1 * a1 - 2.0 * a2 + a3,
+            3.0 * a1 * a1 - 2.0 * a1 * a2 - a2 + 2.0 * a3 - a4)
+
+
 def p_from_q(q: QSequence) -> tuple[float, float, float, float]:
     """Invert the recursion for the first four terms: (p_1, p_2, p_3, p_4)."""
     if q.order < 4:
         raise ValueError("need q_1 .. q_4")
-    q1, q2, q3, q4 = q.q(1), q.q(2), q.q(3), q.q(4)
-    p1 = 1.0 - q1
-    p2 = 1.0 - 2.0 * q1 + q2
-    p3 = 1.0 - 3.0 * q1 + 2.0 * q2 + q1 * q1 - q3
-    p4 = 1.0 - 4.0 * q1 + 3.0 * q2 - 2.0 * q1 * q2 + 3.0 * q1 * q1 - 2.0 * q3 + q4
-    return (p1, p2, p3, p4)
+    return _p_tuple(q.q(1), q.q(2), q.q(3), q.q(4))
 
 
-def _check_q_pair(q1: float, q2: float) -> None:
+def _approximant(q: tuple, n: int, alpha: float, third_order: bool):
+    """Check (q_1, .., q_4) and return (value, bound) of the four-term
+    approximant mu1 / T1**n or the two-term nu1 / C1**n, the centers at
+    p = p_from_q(q); or Inapplicable when 1 - q1 > 0.1."""
+    q1, q2, q3, q4 = q
     if not (0.0 <= q2 <= q1 + _SLACK and q1 <= 1.0 + _SLACK):
         raise ValueError("need 0 <= q2 <= q1 <= 1")
+    if not (third_order or 2.0 * q1 - q2 <= 1.0 + _SLACK):
+        raise ValueError("need 2*q1 - q2 <= 1 (equivalently p_2 >= 0)")
+    if not (0.0 <= q4 <= q3 + _SLACK and q3 <= q2 + _SLACK):
+        raise ValueError("need 0 <= q4 <= q3 <= q2")
+    if n < 1:
+        raise ValueError("n must be positive")
+    a1 = 1.0 - q1
+    if a1 > ALPHA_MAX:
+        kind = "four-term" if third_order else "two-term"
+        return Inapplicable(f"{kind} approximation requires 1-q1 <= 0.1")
+    if not (a1 <= alpha + _SLACK and alpha <= ALPHA_MAX + _SLACK):
+        raise ValueError("alpha must lie in [1-q1, 0.1]")
+    if alpha <= 0.0:
+        # q1 = 1 forces q2 = 1 for a valid q-sequence: degenerate exact case.
+        return 1.0, 0.0
+    coeffs = error_coefficients(alpha)
+    c1, t1, nu1, mu1 = _centers(*_p_tuple(*q))
+    if third_order:
+        return mu1 / t1**n, (coeffs.Gamma + n * coeffs.K) * a1**3
+    return nu1 / c1**n, (3.0 + coeffs.Gamma * a1 + n * (1.0 + coeffs.K * a1)) * a1 * a1
 
 
 def approx_qn_T4(q1: float, q2: float, n: int, alpha: float) -> T4Approx | Inapplicable:
@@ -466,26 +499,9 @@ def approx_qn_T4(q1: float, q2: float, n: int, alpha: float) -> T4Approx | Inapp
     1 - q1 > 0.1 the result is Inapplicable.  ``delta2`` already includes
     the (1 - q1)**2 factor, so |q_n - value| <= delta2.
     """
-    _check_q_pair(q1, q2)
-    if 2.0 * q1 - q2 > 1.0 + _SLACK:
-        raise ValueError("need 2*q1 - q2 <= 1 (equivalently p_2 >= 0)")
-    if n < 1:
-        raise ValueError("n must be positive")
-    a1 = 1.0 - q1
-    if a1 > ALPHA_MAX:
-        return Inapplicable("two-term approximation requires 1-q1 <= 0.1")
-    if not (a1 <= alpha + _SLACK and alpha <= ALPHA_MAX + _SLACK):
-        raise ValueError("alpha must lie in [1-q1, 0.1]")
-    if alpha <= 0.0:
-        # q1 = 1 forces q2 = 1 for a valid q-sequence: degenerate exact case.
-        return T4Approx(value=1.0, delta2=0.0)
-    coeffs = error_coefficients(alpha)
-    d = q1 - q2
-    value = (2.0 * q1 - q2) / (1.0 + d + 2.0 * d * d) ** n
-    delta2 = (
-        3.0 + coeffs.Gamma * a1 + n * (1.0 + coeffs.K * a1)
-    ) * a1 * a1
-    return T4Approx(value=value, delta2=delta2)
+    # q_3 = q_4 = q_2 only fill the third-order slots, which T4 leaves unread
+    r = _approximant((q1, q2, q2, q2), n, alpha, third_order=False)
+    return r if isinstance(r, Inapplicable) else T4Approx(*r)
 
 
 def approx_qn_T3(
@@ -497,24 +513,8 @@ def approx_qn_T3(
     proportional to (1 - q1)**3.  Same applicability range as the two-term
     form.
     """
-    _check_q_pair(q1, q2)
-    if not (0.0 <= q4 <= q3 + _SLACK and q3 <= q2 + _SLACK):
-        raise ValueError("need 0 <= q4 <= q3 <= q2")
-    if n < 1:
-        raise ValueError("n must be positive")
-    a1 = 1.0 - q1
-    if a1 > ALPHA_MAX:
-        return Inapplicable("four-term approximation requires 1-q1 <= 0.1")
-    if not (a1 <= alpha + _SLACK and alpha <= ALPHA_MAX + _SLACK):
-        raise ValueError("alpha must lie in [1-q1, 0.1]")
-    if alpha <= 0.0:
-        return T3Approx(value=1.0, delta1=0.0)
-    coeffs = error_coefficients(alpha)
-    num = 6.0 * (q1 - q2) ** 2 + 4.0 * q3 - 3.0 * q4
-    den = 1.0 + q1 - q2 + q3 - q4 + 2.0 * q1 * q1 + 3.0 * q2 * q2 - 5.0 * q1 * q2
-    value = num / den**n
-    delta1 = (coeffs.Gamma + n * coeffs.K) * a1**3
-    return T3Approx(value=value, delta1=delta1)
+    r = _approximant((q1, q2, q3, q4), n, alpha, third_order=True)
+    return r if isinstance(r, Inapplicable) else T3Approx(*r)
 
 
 def approx_qnlambda_centers(p: PSequence) -> Centers:
@@ -525,9 +525,5 @@ def approx_qnlambda_centers(p: PSequence) -> Centers:
     """
     if p.order < 4:
         raise ValueError("need p_0 .. p_4")
-    p1, p2, p3, p4 = p.p(1), p.p(2), p.p(3), p.p(4)
-    mu1 = (
-        1.0 - p2 + 2.0 * p3 - 3.0 * p4
-        + p1 * p1 + 6.0 * p2 * p2 - 6.0 * p1 * p2
-    )
-    return Centers(mu1=mu1, nu1=1.0 - p2)
+    _, _, nu1, mu1 = _centers(p.p(1), p.p(2), p.p(3), p.p(4))
+    return Centers(mu1=mu1, nu1=nu1)

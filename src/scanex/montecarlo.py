@@ -88,17 +88,23 @@ def _window_sums(bits: np.ndarray, m: int) -> np.ndarray:
     return wins
 
 
+def _sum_over_chunks(rng: np.random.Generator, reps: int, N: int, p: float, count):
+    """Sum of ``count(bits)`` over the 0/1 trial matrices of ``reps``
+    replicates of N trials, drawn in order in chunks of at most
+    ``_CHUNK_BUDGET`` uniforms.  Each chunk is dropped before the next is
+    drawn."""
+    rows_cap = max(1, _CHUNK_BUDGET // N)
+    total = 0
+    for done in range(0, reps, rows_cap):
+        total += count(rng.random((min(rows_cap, reps - done), N)) < p)
+    return total
+
+
 def _count_stream(spec: BernoulliScanSpec, reps: int, seed: int, stream: int) -> int:
-    rng = _rng(seed, stream)
-    rows_cap = max(1, _CHUNK_BUDGET // spec.N)
-    hits = 0
-    left = reps
-    while left > 0:
-        rows = min(left, rows_cap)
-        bits = rng.random((rows, spec.N)) < spec.p
-        hits += int((_window_sums(bits, spec.m).max(axis=1) <= spec.n).sum())
-        left -= rows
-    return hits
+    def count(bits):
+        return int((_window_sums(bits, spec.m).max(axis=1) <= spec.n).sum())
+
+    return _sum_over_chunks(_rng(seed, stream), reps, spec.N, spec.p, count)
 
 
 def simulate_scan_cdf(plan: SimulationPlan, threads: int = 1) -> MCEstimate:
@@ -140,14 +146,8 @@ def simulate_block_sequence(
     m, p, n = spec.m, spec.p, spec.n
     N = L * m
     K = L - 1
-    rng = _rng(seed, 0)
-    rows_cap = max(1, _CHUNK_BUDGET // N)
-    q_hits = np.zeros(K, dtype=np.int64)
-    p_hits = np.zeros(K, dtype=np.int64)
-    left = reps
-    while left > 0:
-        rows = min(left, rows_cap)
-        bits = rng.random((rows, N)) < p
+
+    def count(bits):
         wins = _window_sums(bits, m)
         # W_k = max over window starts (k-1)m .. km (0-based), k = 1..K
         W = np.stack(
@@ -155,9 +155,10 @@ def simulate_block_sequence(
             axis=1,
         )
         below = W <= n
-        q_hits += np.logical_and.accumulate(below, axis=1).sum(axis=0)
-        p_hits += np.logical_and.accumulate(~below, axis=1).sum(axis=0)
-        left -= rows
+        return np.stack([np.logical_and.accumulate(b, axis=1).sum(axis=0)
+                         for b in (below, ~below)])
+
+    q_hits, p_hits = _sum_over_chunks(_rng(seed, 0), reps, N, p, count)
     return BlockSample(
         q_hat=tuple(float(h) / reps for h in q_hits),
         p_hat=tuple(float(h) / reps for h in p_hits),

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from decimal import ROUND_DOWN, Decimal
 
 from .extremes import (
+    ErrorCoefficients,
     Inapplicable,
     T3Approx,
     T4Approx,
@@ -209,28 +210,32 @@ def sandwich(m: int, p: float, N: int, n: int) -> SandwichResult:
     return SandwichResult(lower=lower, upper=upper, L=L)
 
 
+def _coeff_cells(c: ErrorCoefficients) -> dict[str, str]:
+    """Display strings of the coefficients at one level, keyed by column
+    name, under the coefficient-table rules of the module docstring."""
+    k4 = round(c.K, 4)
+    g3 = round(c.Gamma, 3)
+    return {
+        "alpha": f"{c.alpha:.3f}",
+        "t2": f"{c.t2:.6f}",
+        "l": f"{truncate(c.l, 4):.4f}",
+        "eta": f"{c.eta:.6f}",
+        "K": f"{k4:.4f}",
+        "L": f"{round(c.Lcoef, 3):.3f}",
+        "E": f"{round(c.Ecoef, 3):.3f}",
+        "Gamma": f"{g3:.3f}",
+        "1+alpha*K": f"{truncate(1.0 + c.alpha * k4, 4):.4f}",
+        "3+alpha*Gamma": f"{truncate(3.0 + c.alpha * g3, 4):.4f}",
+    }
+
+
 def _coeff_table(which: int) -> TableResult:
-    rows = []
-    for a in COEFF_TABLE_ALPHAS:
-        c = error_coefficients(a)
-        if which == 1:
-            k4 = round(c.K, 4)
-            rows.append((
-                f"{a:.3f}",
-                f"{truncate(c.l, 4):.4f}",
-                f"{k4:.4f}",
-                f"{truncate(1.0 + a * k4, 4):.4f}",
-            ))
-        else:
-            g3 = round(c.Gamma, 3)
-            rows.append((
-                f"{a:.3f}",
-                f"{g3:.3f}",
-                f"{truncate(3.0 + a * g3, 4):.4f}",
-            ))
     headers = ("alpha", "l", "K", "1+alpha*K") if which == 1 else (
         "alpha", "Gamma", "3+alpha*Gamma")
-    return TableResult(headers=headers, rows=tuple(rows))
+    cells = [_coeff_cells(error_coefficients(a)) for a in COEFF_TABLE_ALPHAS]
+    return TableResult(
+        headers=headers, rows=tuple(tuple(c[h] for h in headers) for c in cells)
+    )
 
 
 def _scan_table(which: int) -> TableResult:

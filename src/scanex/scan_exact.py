@@ -44,9 +44,9 @@ __all__ = [
     "block_p_sequence",
 ]
 
-# C(m, n) chain states, at a peak of 56 + 32 n/m bytes each (while the
-# successor index is built): every n fits up to m = 26, where C(26, 13) =
-# 10 400 600 states take about 0.75 GB
+# C(m, n) chain states, at a peak of 32 (1 + n/m) bytes each (two vectors,
+# the weights and the successor index; the index build peaks near 27 bytes):
+# every n fits up to m = 26, where C(26, 13) = 10 400 600 states take 0.5 GB
 MAX_CHAIN_STATES = 1 << 24
 MAX_BRUTE_N = 22   # enumeration touches 2**N outcomes
 MAX_BLOCK_K = 8    # joint block law: (kmax+1)*m chain steps with flag doubling
@@ -136,28 +136,42 @@ def _budget_words(m: int, n: int) -> np.ndarray:
     a prefix is kept only while it can still reach n ones, so the cost
     follows C(m, n), not 2**m."""
     words = np.zeros(1, dtype=np.int64)
-    ones = np.zeros(1, dtype=np.int64)
+    ones = np.zeros(1, dtype=np.int8)  # counts stay below 64; a byte keeps the build small
     for i, bit in enumerate((*range(1, m), 0)):
-        zero = ones + (m - 1 - i) >= n
+        zero = ones >= n - (m - 1 - i)
         one = ones < n
         words = np.concatenate((words[zero], words[one] | (1 << bit)))
         ones = np.concatenate((ones[zero], ones[one] + 1))
     return words
 
 
+_INDEX_CHUNK = 1 << 14  # successors placed per binary search
+
+
 def _successor_index(m: int, n: int) -> np.ndarray:
     """Positions, in ``_budget_words(m, n)`` order, of every word's failure
-    successor and then of every odd word's success successor."""
-    words = _budget_words(m, n)
-    E = math.comb(m - 1, n)  # even words
-    y = words >> 1
-    succ = y[E:] | (1 << (m - 1))
-    fail = np.concatenate((y[:E], y[E:] | (y[E:] + 1)))
+    successor and then of every odd word's success successor.
 
-    def key(w):  # rotating right by one bit maps the state order onto ascending keys
-        return (w >> 1) | ((w & 1) << (m - 1))
-
-    return np.searchsorted(key(words), key(np.concatenate((fail, succ))))
+    Rotating a word right by one bit maps the state order onto ascending
+    keys, so a position is a binary search among the keys.  Successors are
+    placed a chunk at a time, so the build needs little beyond the keys and
+    the index itself.
+    """
+    S, E = math.comb(m, n), math.comb(m - 1, n)
+    top = 1 << (m - 1)
+    keys = _budget_words(m, n)
+    keys >>= 1  # rotate right in place: y = w >> 1,
+    keys[E:] |= top  # and bit 0 of the odd words moves to the top
+    idx = np.empty(2 * S - E, dtype=np.int64)
+    at = 0
+    for lo, hi, step in ((0, E, lambda y: y),             # failure, even word
+                         (E, S, lambda y: y | (y + 1)),   # failure, odd word
+                         (E, S, lambda y: y | top)):      # success, odd word
+        for a in range(lo, hi, _INDEX_CHUNK):
+            w = step(keys[a:min(hi, a + _INDEX_CHUNK)] & (top - 1))
+            idx[at:at + w.shape[0]] = np.searchsorted(keys, (w >> 1) | ((w & 1) << (m - 1)))
+            at += w.shape[0]
+    return idx
 
 
 def _survival_vectors(m: int, p: float, n: int, stops):
@@ -216,7 +230,7 @@ def exact_scan_cdf(spec: BernoulliScanSpec) -> float:
 
     Degenerate inputs resolve to certainty: n >= m (no window can exceed)
     and N < m (no window exists) both give 1.  The chain holds C(m, n)
-    states, so runtime is O(N * C(m, n)) and memory at most 88 bytes per
+    states, so runtime is O(N * C(m, n)) and memory 32 (1 + n/m) bytes per
     state.  More than ``MAX_CHAIN_STATES`` states, or m > 63, raises
     CapacityError.
     """
@@ -267,15 +281,12 @@ def block_p_sequence(m: int, p: float, n: int, kmax: int) -> PSequence:
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
+    BernoulliScanSpec(m=m, p=p, N=(kmax + 1) * m, n=n)  # validates the inputs
     if kmax > MAX_BLOCK_K:
         raise CapacityError(f"joint block law limited to kmax <= {MAX_BLOCK_K}")
     M = 1 << (m - 1) if m > 1 else 1
     if M > MAX_CHAIN_STATES:
         raise CapacityError(f"joint block law limited to {MAX_CHAIN_STATES} masks (m <= 25)")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
 
     pc = _popcount_u32(np.arange(M))
     # does the window completed by appending bit b stay at or below n

@@ -7,6 +7,7 @@ the published 4/3-decimal coefficient table values as regression anchors.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,7 +32,7 @@ from scanex.extremes import (
     solve_cubic_t2,
     solve_lambda,
 )
-from scanex.scan_exact import block_p_sequence
+from scanex.scan_exact import block_p_sequence, block_q_sequence
 
 # Published coefficient values (4 d.p. for l and K, 3 d.p. for Gamma).
 TABLE_COEFFS = {
@@ -370,3 +371,62 @@ def test_centers_trivial_and_geometric():
     co = error_coefficients(p1)
     assert abs(1.0 - c.mu1) <= co.Gamma * p1**3
     assert abs(1.0 - c.nu1) <= (3.0 + p1 * co.Gamma) * p1**2
+
+
+# ---------------------------------------------------------- accuracy oracle
+
+ULP = 2.0**-52  # ulp(1): every approximant and center here lies near 1
+
+# the table grids and the m x p x L sweep of the paper, 71 points (m, p, L, n)
+PAPER_GRID = (
+    [(9, 0.05, 10, n) for n in range(2, 8)]
+    + [(10, 0.0165, 15, n) for n in range(1, 6)]
+    + [(m, p, L, n) for m in (8, 10, 12) for p in (0.01, 0.03) for L in (10, 20)
+       for n in range(2, 7)]
+)
+
+
+def paper_grid_q():
+    """(q_1 .. q_4, L - 1) at every paper grid point, from the exact chain."""
+    for m, p, L, n in PAPER_GRID:
+        q = block_q_sequence(m, p, n, kmax=4)
+        yield tuple(q.q(k) for k in range(1, 5)), L - 1
+
+
+def test_t4_is_the_printed_q_form_bit_for_bit():
+    assert len(PAPER_GRID) == 71
+    for (q1, q2, _, _), n in paper_grid_q():
+        d = q1 - q2
+        r = approx_qn_T4(q1, q2, n, min(1.0 - q1, ALPHA_MAX))
+        assert r.value == (2.0 * q1 - q2) / (1.0 + d + 2.0 * d * d) ** n
+
+
+def test_t3_within_64_ulp_of_the_printed_q_form():
+    # T3 is mu1 / T1**n on p = p_from_q(q); the reference is the printed
+    # q-form evaluated in 60 digits on the same float q's
+    with mpmath.workdps(60):
+        for q, n in paper_grid_q():
+            r = approx_qn_T3(*q, n, 1.0 - q[0])
+            q1, q2, q3, q4 = map(mpmath.mpf, q)
+            num = 6 * (q1 - q2) ** 2 + 4 * q3 - 3 * q4
+            den = 1 + q1 - q2 + q3 - q4 + 2 * q1 * q1 + 3 * q2 * q2 - 5 * q1 * q2
+            assert abs(r.value - num / den**n) <= 64 * ULP
+
+
+def test_lambda_centers_within_one_ulp():
+    checked = 0
+    for m in (6, 8, 9, 10, 12):
+        for p in (0.01, 0.0165, 0.03, 0.05, 0.08):
+            for n in (1, 2, 3, 4):
+                ps = block_p_sequence(m, p, n, kmax=4)
+                if not 0.0 < ps.p1 <= ALPHA_MAX:
+                    continue
+                r = solve_lambda(ps, ALPHA_MAX)
+                with mpmath.workdps(60):
+                    p1, p2, p3, p4 = (mpmath.mpf(ps.p(k)) for k in range(1, 5))
+                    t1 = 1 + p1 - p2 + p3 - p4 + 2 * p1 * p1 + 3 * p2 * p2 - 5 * p1 * p2
+                    c1 = 1 + p1 - p2 + 2 * (p1 - p2) ** 2
+                    assert abs(r.center_T1 - t1) <= ULP
+                    assert abs(r.center_C1 - c1) <= ULP
+                checked += 1
+    assert checked == 88

@@ -321,3 +321,9 @@ def test_block_p_envelope():
 def test_block_capacity():
     with pytest.raises(CapacityError):
         block_p_sequence(3, 0.5, 1, kmax=9)
+    # both block laws validate their inputs as one scan spec
+    for block_sequence in (block_p_sequence, block_q_sequence):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            block_sequence(0, 0.05, 1, 2)
+        with pytest.raises(ValueError, match="p must lie"):
+            block_sequence(3, 1.5, 1, 2)
