@@ -5,13 +5,20 @@ an independent, reproducible substream, and replicates are partitioned
 across streams deterministically.  Results therefore depend only on the
 plan, never on how much parallelism executes it.
 
-These estimators exist to validate the exact engines and the approximation
-bounds on specs too large to enumerate; they are not meant to be fast
-samplers.
+Two samplers draw the trials, chosen by p alone.  At p >= _SPARSE_BELOW a
+chunk is a 0/1 matrix of replicates x trials and the window sums are
+counted directly.  Below it, a chunk of R replicates x N trials is one
+Bernoulli sequence of R*N trials, drawn as its sorted success times from
+exponential gaps, so a chunk costs about R*N*p draws instead of R*N.  The
+spacing form of the scan statistic (Naus 1982; Glaz, Naus & Wallenstein
+2001) counts from those times alone: a window of m trials holds more than
+n successes exactly when some n+1 consecutive successes span fewer than m
+trials.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,8 +34,20 @@ __all__ = [
     "simulate_block_sequence",
 ]
 
-# rows per chunk are sized so one uniform draw stays around 32 MB
+# rows per chunk are sized so one chunk holds about this many trials: a
+# 32 MB uniform draw on the dense path, about 4e6*p draws on the sparse one
 _CHUNK_BUDGET = 4_000_000
+
+# p below this draws success times.  Both samplers cost in proportion to
+# reps * N; over m in {4, 10, 20} and n in {0, m/2, m-1} the sparse one was
+# 1.2-3.5x faster at p = 0.2, and the dense one first caught up at p = 0.25
+# (block maxima at n = 0, where every success is a run to mark)
+_SPARSE_BELOW = 0.2
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -41,8 +60,7 @@ class SimulationPlan:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_seed(self.seed)
         if self.stream_count < 1:
             raise ValueError("stream_count must be at least 1")
 
@@ -72,7 +90,8 @@ def _stream_reps(reps: int, streams: int) -> list[int]:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _window_sums(bits: np.ndarray, m: int) -> np.ndarray:
@@ -88,39 +107,135 @@ def _window_sums(bits: np.ndarray, m: int) -> np.ndarray:
     return wins
 
 
-def _sum_over_chunks(rng: np.random.Generator, reps: int, N: int, p: float, count):
-    """Sum of ``count(bits)`` over the 0/1 trial matrices of ``reps``
-    replicates of N trials, drawn in order in chunks of at most
-    ``_CHUNK_BUDGET`` uniforms.  Each chunk is dropped before the next is
-    drawn."""
+def _success_times(rng: np.random.Generator, trials: int, p: float) -> np.ndarray:
+    """Sorted 0-based success positions among ``trials`` Bernoulli(p) trials.
+
+    The gap to the next success, floor(E / -log1p(-p)) + 1 for a standard
+    exponential E, is geometric on 1, 2, ...  Each round draws the expected
+    number of remaining successes plus a margin, until the positions pass
+    the end.
+    """
+    if p == 0.0:
+        return np.empty(0, dtype=np.int64)
+    scale = -1.0 / np.log1p(-p)
+    parts, last = [], -1.0
+    while last < trials:
+        need = (trials - last) * p
+        t = rng.standard_exponential(int(need + 4.0 * need ** 0.5) + 16)
+        t *= scale
+        np.floor(t, out=t)
+        t += 1.0
+        np.cumsum(t, out=t)
+        t += last
+        parts.append(t)
+        last = t[-1]
+    t = np.concatenate(parts)
+    # float positions below 2**53 are exact integers
+    return t[:np.searchsorted(t, trials)].astype(np.int64)
+
+
+def _sum_over_chunks(rng: np.random.Generator, reps: int, N: int, p: float,
+                     dense, sparse):
+    """Sum over the chunks of ``reps`` replicates of N trials, drawn in order
+    in chunks of at most ``_CHUNK_BUDGET`` trials, of ``dense(bits)`` on the
+    chunk's 0/1 matrix, or below ``_SPARSE_BELOW`` of ``sparse(t, rows)`` on
+    its row-major success positions.  Each chunk is dropped before the next
+    is drawn; a fresh start at each chunk is exact, as the gaps are
+    memoryless."""
     rows_cap = max(1, _CHUNK_BUDGET // N)
     total = 0
     for done in range(0, reps, rows_cap):
-        total += count(rng.random((min(rows_cap, reps - done), N)) < p)
+        rows = min(rows_cap, reps - done)
+        if p < _SPARSE_BELOW:
+            total += sparse(_success_times(rng, rows * N, p), rows)
+        else:
+            total += dense(rng.random((rows, N)) < p)
     return total
 
 
-def _count_stream(spec: BernoulliScanSpec, reps: int, seed: int, stream: int) -> int:
-    def count(bits):
-        return int((_window_sums(bits, spec.m).max(axis=1) <= spec.n).sum())
+def _runs(t: np.ndarray, N: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions a = t[i], b = t[i+n] of every n+1 consecutive successes that
+    span fewer than m trials inside one replicate of N trials (the one at
+    row b // N); windows of m trials start in that row at
+    [max(b-m+1, 0), min(a, N-m)], local positions."""
+    a, b = t[:max(len(t) - n, 0)], t[n:]
+    close = b - a < m
+    a, b = a[close], b[close]
+    within = b - a <= b % N
+    return a[within], b[within]
 
-    return _sum_over_chunks(_rng(seed, stream), reps, spec.N, spec.p, count)
+
+def _scan_hits_dense(bits: np.ndarray, m: int, n: int) -> int:
+    """Rows whose window sums all stay at or below n."""
+    return int((_window_sums(bits, m).max(axis=1) <= n).sum())
+
+
+def _scan_hits_sparse(t: np.ndarray, rows: int, N: int, m: int, n: int) -> int:
+    """Rows holding no run of n+1 successes within m trials."""
+    row = _runs(t, N, m, n)[1] // N
+    return rows - (int(np.count_nonzero(np.diff(row))) + 1 if len(row) else 0)
+
+
+def _block_above_dense(bits: np.ndarray, m: int, n: int, K: int) -> np.ndarray:
+    """K x rows: W_k > n, W_k the largest window sum over window starts
+    (k-1)m .. km (0-based), k = 1..K."""
+    wins = _window_sums(bits, m)
+    W = np.stack([wins[:, (k - 1) * m: k * m + 1].max(axis=1) for k in range(1, K + 1)])
+    return W > n
+
+
+def _block_above_sparse(t: np.ndarray, rows: int, m: int, n: int, K: int) -> np.ndarray:
+    """``_block_above_dense`` from the success positions of rows of (K+1)m
+    trials.  The window starts of one run span at most m positions, so they
+    meet at most two blocks: the first and the last block they reach."""
+    N = (K + 1) * m
+    a, b = _runs(t, N, m, n)
+    row = b // N
+    lo = np.maximum(b - row * N - m + 1, 0)
+    hi = np.minimum(a - row * N, N - m)
+    above = np.zeros((K, rows), dtype=bool)
+    above[np.maximum((lo + m - 1) // m, 1) - 1, row] = True
+    above[np.minimum(hi // m, K - 1), row] = True
+    return above
+
+
+def _block_tails(above: np.ndarray) -> np.ndarray:
+    """Rows with max(W_1..W_k) <= n and with min(W_1..W_k) > n, k = 1..K,
+    from the K x rows exceedances, one block at a time."""
+    hits = np.empty((2, len(above)), dtype=np.int64)
+    for side, blocks in enumerate((~above, above)):
+        run = np.ones(above.shape[1], dtype=bool)
+        for k, block in enumerate(blocks):
+            run &= block
+            hits[side, k] = np.count_nonzero(run)
+    return hits
+
+
+def _count_stream(spec: BernoulliScanSpec, reps: int, seed: int, stream: int) -> int:
+    m, n, N = spec.m, spec.n, spec.N
+    return _sum_over_chunks(
+        _rng(seed, stream), reps, N, spec.p,
+        lambda bits: _scan_hits_dense(bits, m, n),
+        lambda t, rows: _scan_hits_sparse(t, rows, N, m, n),
+    )
 
 
 def simulate_scan_cdf(plan: SimulationPlan, threads: int = 1) -> MCEstimate:
     """Estimate P(S_m(N) <= n) by direct simulation.
 
     ``threads`` only parallelises the streams; outputs are identical for
-    any thread count.  Degenerate specs (no window, or threshold at or
-    above m) short-circuit to certainty.
+    any thread count, and the pool never exceeds the streams or the CPUs.
+    Degenerate specs (no window, or threshold at or above m) short-circuit
+    to certainty.
     """
     spec = plan.spec
     if spec.n >= spec.m or spec.N < spec.m:
         return MCEstimate(estimate=1.0, half_width_95=0.0, reps=plan.reps)
     parts = _stream_reps(plan.reps, plan.stream_count)
     jobs = [(spec, r, plan.seed, i) for i, r in enumerate(parts) if r > 0]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(lambda j: _count_stream(*j), jobs))
     else:
         hits = sum(_count_stream(*j) for j in jobs)
@@ -143,22 +258,13 @@ def simulate_block_sequence(
         raise ValueError("need L >= 2 for at least one block maximum")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    m, p, n = spec.m, spec.p, spec.n
-    N = L * m
-    K = L - 1
-
-    def count(bits):
-        wins = _window_sums(bits, m)
-        # W_k = max over window starts (k-1)m .. km (0-based), k = 1..K
-        W = np.stack(
-            [wins[:, (k - 1) * m: k * m + 1].max(axis=1) for k in range(1, K + 1)],
-            axis=1,
-        )
-        below = W <= n
-        return np.stack([np.logical_and.accumulate(b, axis=1).sum(axis=0)
-                         for b in (below, ~below)])
-
-    q_hits, p_hits = _sum_over_chunks(_rng(seed, 0), reps, N, p, count)
+    _check_seed(seed)
+    m, n, K = spec.m, spec.n, L - 1
+    q_hits, p_hits = _sum_over_chunks(
+        _rng(seed, 0), reps, L * m, spec.p,
+        lambda bits: _block_tails(_block_above_dense(bits, m, n, K)),
+        lambda t, rows: _block_tails(_block_above_sparse(t, rows, m, n, K)),
+    )
     return BlockSample(
         q_hat=tuple(float(h) / reps for h in q_hits),
         p_hat=tuple(float(h) / reps for h in p_hits),

@@ -1,10 +1,13 @@
-"""The chain-large and paper-sweep benchmarks in quick mode, against their
-own checks.
+"""The chain-large, paper-sweep and mc-validate benchmarks in quick mode,
+against their own checks.
 
 chain-large checks every chain value against formulas computed without
 scanex (the n = 1 closed form, the no-run recursion at n = m - 1, window
 bounds, monotonicity).  paper-sweep checks the published table digits and
-the approximation certificates.  Both run the chain engine.
+the approximation certificates.  Both run the chain engine.  mc-validate
+checks each Monte Carlo estimate against the exact value and block law, and
+that threads 1 and 2 give identical results; its specs run the sparse
+sampler.
 """
 
 import json
@@ -17,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["chain-large", "paper-sweep"])
+@pytest.mark.parametrize("workload", ["chain-large", "paper-sweep", "mc-validate"])
 def test_quick_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,

@@ -236,6 +236,15 @@ def test_scan_simulate_thread_env(capsys, monkeypatch):
     assert base == threaded
 
 
+def test_scan_simulate_seed_out_of_range_exit_2(capsys):
+    argv = ("scan", "simulate", "--m", "3", "--p", "0.05", "--N", "8", "--n", "1",
+            "--reps", "100")
+    code, out, err = run_main(capsys, *argv, "--seed", str(2**64))
+    assert code == 2 and out == "" and "seed" in err
+    code, out, _ = run_main(capsys, *argv, "--seed", str(2**64 - 1))
+    assert code == 0 and out
+
+
 def test_bad_probability_exit_2(capsys):
     code, out, err = run_main(
         capsys, "scan", "exact", "--m", "3", "--p", "1.5", "--N", "8", "--n", "2"

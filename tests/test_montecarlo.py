@@ -1,15 +1,28 @@
-"""Monte Carlo estimators: reproducibility, correctness, block law."""
+"""Monte Carlo estimators: reproducibility, correctness, block law.
+
+Inputs with p >= 0.2 run the dense sampler and inputs below it the sparse
+one; tests that pin determinism or a law take one input of each.
+"""
 
 import numpy as np
 import pytest
 
+from scanex import montecarlo
 from scanex.montecarlo import (
     BlockSample,
     SimulationPlan,
     simulate_block_sequence,
     simulate_scan_cdf,
 )
-from scanex.scan_exact import BernoulliScanSpec, exact_scan_cdf
+from scanex.scan_exact import (
+    BernoulliScanSpec,
+    block_p_sequence,
+    block_q_sequence,
+    exact_scan_cdf,
+)
+
+SPARSE_P = 0.03
+assert SPARSE_P < montecarlo._SPARSE_BELOW <= 0.3
 
 
 def test_plan_validation():
@@ -20,20 +33,73 @@ def test_plan_validation():
         SimulationPlan(spec, reps=10, seed=-1)
     with pytest.raises(ValueError):
         SimulationPlan(spec, reps=10, seed=1, stream_count=0)
+    with pytest.raises(ValueError, match="seed"):
+        SimulationPlan(spec, reps=10, seed=2**64)
+    SimulationPlan(spec, reps=10, seed=2**64 - 1)
+
+
+def test_seed_keys_are_exact():
+    # the Philox key holds the seed as an exact 64-bit word: seeds that a
+    # float64 round trip would merge get their own streams
+    def key(seed):
+        return montecarlo._rng(seed, 1).bit_generator.state["state"]["key"].tolist()
+
+    for seed in (0, 1, 2**53 + 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1):
+        assert key(seed) == [seed, 1]
+    spec = BernoulliScanSpec(4, SPARSE_P, 40, 1)
+    top, zero = (simulate_scan_cdf(SimulationPlan(spec, reps=20_000, seed=s))
+                 for s in (2**64 - 1, 0))
+    assert top != zero
+
+
+def test_thread_pool_is_bounded(monkeypatch):
+    # outputs do not depend on the pool, so it never exceeds the jobs or the
+    # CPUs; a recording executor runs the jobs inline, starting no thread
+    sizes = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Inline)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    spec = BernoulliScanSpec(3, SPARSE_P, 12, 1)
+    base = simulate_scan_cdf(SimulationPlan(spec, reps=20, seed=1, stream_count=10))
+    # (threads, streams, reps, pool size or None for no pool)
+    for threads, streams, reps, size in ((100_000, 10, 20, 4), (3, 10, 20, 3),
+                                         (1, 10, 20, None), (100_000, 1, 20, None),
+                                         (100_000, 100_000, 2, 2)):
+        sizes.clear()
+        est = simulate_scan_cdf(
+            SimulationPlan(spec, reps=reps, seed=1, stream_count=streams), threads=threads)
+        assert sizes == ([] if size is None else [size])
+        if streams == 10:
+            assert est == base
 
 
 def test_bit_identical_reruns():
-    plan = SimulationPlan(BernoulliScanSpec(3, 0.5, 20, 2), reps=50_000, seed=42,
-                          stream_count=4)
-    a = simulate_scan_cdf(plan)
-    b = simulate_scan_cdf(plan)
-    assert a == b
+    for p in (0.5, SPARSE_P):
+        plan = SimulationPlan(BernoulliScanSpec(3, p, 20, 2), reps=50_000, seed=42,
+                              stream_count=4)
+        a = simulate_scan_cdf(plan)
+        b = simulate_scan_cdf(plan)
+        assert a == b
 
 
 def test_thread_count_does_not_change_output():
-    plan = SimulationPlan(BernoulliScanSpec(4, 0.3, 30, 2), reps=40_000, seed=7,
-                          stream_count=4)
-    assert simulate_scan_cdf(plan, threads=1) == simulate_scan_cdf(plan, threads=3)
+    for p in (0.3, SPARSE_P):
+        plan = SimulationPlan(BernoulliScanSpec(4, p, 30, 2), reps=40_000, seed=7,
+                              stream_count=4)
+        assert simulate_scan_cdf(plan, threads=1) == simulate_scan_cdf(plan, threads=3)
 
 
 def test_chunking_does_not_change_stream():
@@ -56,11 +122,28 @@ def test_degenerate_specs():
 
 
 def test_estimate_matches_exact_value():
-    spec = BernoulliScanSpec(3, 0.5, 8, 2)
-    plan = SimulationPlan(spec, reps=200_000, seed=11, stream_count=2)
-    est = simulate_scan_cdf(plan, threads=2)
-    assert abs(est.estimate - 149 / 256) <= 2.5 * est.half_width_95
-    assert 0.0 < est.half_width_95 < 0.01
+    sparse = BernoulliScanSpec(10, SPARSE_P, 100, 1)
+    for spec, truth in ((BernoulliScanSpec(3, 0.5, 8, 2), 149 / 256),
+                        (sparse, exact_scan_cdf(sparse))):
+        plan = SimulationPlan(spec, reps=200_000, seed=11, stream_count=2)
+        est = simulate_scan_cdf(plan, threads=2)
+        assert abs(est.estimate - truth) <= 2.5 * est.half_width_95
+        assert 0.0 < est.half_width_95 < 0.01
+
+
+@pytest.mark.parametrize("m, p, N, n", [
+    (1, 0.005, 1, 0), (4, 0.01, 4, 1), (5, 0.008, 60, 0), (9, 0.05, 90, 3),
+    (10, 0.05, 100, 2), (7, 0.15, 50, 3), (20, 0.02, 200, 3), (6, 0.1, 6, 5),
+])
+def test_sparse_estimates_match_exact(m, p, N, n):
+    # below the sampler switch, within 4 standard errors of the chain
+    reps = 400_000
+    assert p < montecarlo._SPARSE_BELOW
+    truth = exact_scan_cdf(BernoulliScanSpec(m, p, N, n))
+    est = simulate_scan_cdf(SimulationPlan(BernoulliScanSpec(m, p, N, n), reps=reps,
+                                           seed=m * 1000 + n, stream_count=3))
+    se = np.sqrt(truth * (1.0 - truth) / reps)
+    assert abs(est.estimate - truth) <= 4 * se + 1.0 / reps
 
 
 def test_confidence_interval_coverage():
@@ -96,25 +179,97 @@ def test_block_sample_shapes_and_validation():
         simulate_block_sequence(spec, L=1, reps=100, seed=0)
     with pytest.raises(ValueError):
         simulate_block_sequence(spec, L=5, reps=0, seed=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_block_sequence(spec, L=5, reps=10, seed=seed)
+    # no success, so no block maximum exceeds n
+    s = simulate_block_sequence(BernoulliScanSpec(3, 0.0, 15, 0), L=5, reps=1000, seed=5)
+    assert s.q_hat == (1.0,) * 4 and s.p_hat == (0.0,) * 4
 
 
 def test_block_sample_head_identity_and_monotonicity():
-    s = simulate_block_sequence(BernoulliScanSpec(3, 0.5, 15, 2), L=5,
-                                reps=50_000, seed=17)
-    # P(W_1 <= n) + P(W_1 > n) = 1 holds replicate by replicate
-    assert s.q_hat[0] + s.p_hat[0] == pytest.approx(1.0, abs=1e-12)
-    assert all(a >= b for a, b in zip(s.q_hat, s.q_hat[1:]))
-    assert all(a >= b for a, b in zip(s.p_hat, s.p_hat[1:]))
+    for spec in (BernoulliScanSpec(3, 0.5, 15, 2), BernoulliScanSpec(3, SPARSE_P, 15, 0)):
+        s = simulate_block_sequence(spec, L=5, reps=50_000, seed=17)
+        # P(W_1 <= n) + P(W_1 > n) = 1 holds replicate by replicate
+        assert s.q_hat[0] + s.p_hat[0] == pytest.approx(1.0, abs=1e-12)
+        assert all(a >= b for a, b in zip(s.q_hat, s.q_hat[1:]))
+        assert all(a >= b for a, b in zip(s.p_hat, s.p_hat[1:]))
 
 
 def test_block_sample_tracks_exact_law():
-    m, p, n, L, reps = 3, 0.5, 2, 5, 100_000
-    s = simulate_block_sequence(BernoulliScanSpec(m, p, 15, n), L=L, reps=reps,
-                                seed=23)
-    for k in range(1, L):
-        truth = exact_scan_cdf(BernoulliScanSpec(m, p, (k + 1) * m, n))
+    for m, p, n in ((3, 0.5, 2), (3, SPARSE_P, 0)):
+        L, reps = 5, 100_000
+        s = simulate_block_sequence(BernoulliScanSpec(m, p, 15, n), L=L, reps=reps,
+                                    seed=23)
+        for k in range(1, L):
+            truth = exact_scan_cdf(BernoulliScanSpec(m, p, (k + 1) * m, n))
+            se = np.sqrt(truth * (1.0 - truth) / reps)
+            assert abs(s.q_hat[k - 1] - truth) <= 5 * se + 1e-9
+
+
+@pytest.mark.parametrize("m, p, n, L", [
+    (10, 0.05, 3, 10), (9, SPARSE_P, 2, 6), (4, 0.01, 0, 9), (5, 0.1, 1, 4),
+    (6, 0.15, 5, 3),
+])
+def test_sparse_block_law_matches_exact_sequences(m, p, n, L):
+    # both tails within 4 standard errors of the exact q and p sequences
+    reps = 200_000
+    assert p < montecarlo._SPARSE_BELOW
+    s = simulate_block_sequence(BernoulliScanSpec(m, p, L * m, n), L=L, reps=reps,
+                                seed=L * 100 + m)
+    q, ps = block_q_sequence(m, p, n, L - 1), block_p_sequence(m, p, n, min(L - 1, 8))
+    for est, truth in [(s.q_hat[k - 1], q.q(k)) for k in range(1, L)] + \
+                      [(s.p_hat[k - 1], ps.p(k)) for k in range(1, ps.order + 1)]:
         se = np.sqrt(truth * (1.0 - truth) / reps)
-        assert abs(s.q_hat[k - 1] - truth) <= 5 * se + 1e-9
+        assert abs(est - truth) <= 4 * se + 1.0 / reps
+
+
+def _oracle_matrices(rng, N):
+    # seeded 0/1 rows, with successes forced at both row ends in some rows so
+    # that a run counted across two replicates would show
+    for p in (0.1, 0.35, 0.7):
+        bits = rng.random((200, N)) < p
+        bits[::3, 0] = True
+        bits[::4, -1] = True
+        bits[1::5] = False
+        yield bits
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_sparse_counters_equal_dense_counters(m):
+    rng = np.random.default_rng(2024 + m)
+    for N in sorted({m, m + 1, 3 * m + 2}):
+        for bits in _oracle_matrices(rng, N):
+            t = np.flatnonzero(bits)
+            for n in range(m + 2):
+                assert (montecarlo._scan_hits_sparse(t, len(bits), N, m, n)
+                        == montecarlo._scan_hits_dense(bits, m, n))
+    for L in (2, 3, 5):
+        for bits in _oracle_matrices(rng, L * m):
+            t = np.flatnonzero(bits)
+            for n in range(m + 2):
+                sparse = montecarlo._block_above_sparse(t, len(bits), m, n, L - 1)
+                dense = montecarlo._block_above_dense(bits, m, n, L - 1)
+                assert (sparse == dense).all()
+                tails = [np.logical_and.accumulate(b, axis=0).sum(axis=1)
+                         for b in (~dense, dense)]
+                assert (montecarlo._block_tails(dense) == tails).all()
+
+
+def test_success_times_are_bernoulli_trials():
+    # positions are sorted, distinct and inside the trials, and their count
+    # and spacing match Bernoulli(p) trials
+    rng = montecarlo._rng(77, 0)
+    trials, p = 2_000_000, 0.01
+    t = montecarlo._success_times(rng, trials, p)
+    assert t.dtype == np.int64 and t[0] >= 0 and t[-1] < trials
+    assert (np.diff(t) > 0).all()
+    assert abs(len(t) - trials * p) <= 4 * np.sqrt(trials * p * (1 - p))
+    # P(gap = 1) = p and P(gap > 100) = (1 - p)^100
+    gaps = np.diff(t)
+    for share, prob in (((gaps == 1).mean(), p), ((gaps > 100).mean(), (1 - p) ** 100)):
+        assert abs(share - prob) <= 4 * np.sqrt(prob * (1 - prob) / len(gaps))
+    assert len(montecarlo._success_times(rng, trials, 0.0)) == 0
 
 
 def test_blocks_separated_by_one_are_uncorrelated():
