@@ -446,19 +446,33 @@ def _centers(p1: float, p2: float, p3: float, p4: float) -> tuple[float, ...]:
     return c1, t1, 1.0 - p2, mu1
 
 
-def _p_tuple(q1: float, q2: float, q3: float, q4: float) -> tuple[float, ...]:
-    """(p_1, .., p_4) from (q_1, .., q_4), in the complements a_k = 1 - q_k,
-    which are exact for q_k >= 1/2."""
-    a1, a2, a3, a4 = 1.0 - q1, 1.0 - q2, 1.0 - q3, 1.0 - q4
-    return (a1, 2.0 * a1 - a2, a1 + a1 * a1 - 2.0 * a2 + a3,
-            3.0 * a1 * a1 - 2.0 * a1 * a2 - a2 + 2.0 * a3 - a4)
+def _p_from_complements(a) -> tuple[float, ...]:
+    """(p_1, .., p_K) from the complements (a_1, .., a_K), a_k = 1 - q_k.
+
+    The recursion of ``qn_from_p`` run backward, with a_0 = 0:
+
+        (-1)**(i+1) p_i = a_i + sum_{1<=j<i} (-1)**j p_j
+                              - sum_{0<=j<=i-2} (-1)**j p_j a_{i-1-j}.
+
+    No term carries a 1, so small p's keep the accuracy of the a's.  The
+    correction terms are summed first and a_i added last, which makes
+    p_2 = fl(2 a_1 - a_2) exactly.
+    """
+    p = [1.0]
+    for i, ai in enumerate(a, start=1):
+        acc = 0.0
+        for j in range(i - 1):  # the j+1 term of the first sum, the j term of the second
+            acc += (p[j + 1] + p[j] * a[i - 2 - j]) * (1.0 if j % 2 else -1.0)
+        s = ai + acc
+        p.append(s if i % 2 else 0.0 - s)  # 0 - s keeps a zero p_i positive
+    return tuple(p[1:])
 
 
 def p_from_q(q: QSequence) -> tuple[float, float, float, float]:
     """Invert the recursion for the first four terms: (p_1, p_2, p_3, p_4)."""
     if q.order < 4:
         raise ValueError("need q_1 .. q_4")
-    return _p_tuple(q.q(1), q.q(2), q.q(3), q.q(4))
+    return _p_from_complements([1.0 - q.q(k) for k in range(1, 5)])
 
 
 def _approximant(q: tuple, n: int, alpha: float, third_order: bool):
@@ -484,7 +498,7 @@ def _approximant(q: tuple, n: int, alpha: float, third_order: bool):
         # q1 = 1 forces q2 = 1 for a valid q-sequence: degenerate exact case.
         return 1.0, 0.0
     coeffs = error_coefficients(alpha)
-    c1, t1, nu1, mu1 = _centers(*_p_tuple(*q))
+    c1, t1, nu1, mu1 = _centers(*_p_from_complements([1.0 - qk for qk in q]))
     if third_order:
         return mu1 / t1**n, (coeffs.Gamma + n * coeffs.K) * a1**3
     return nu1 / c1**n, (3.0 + coeffs.Gamma * a1 + n * (1.0 + coeffs.K * a1)) * a1 * a1

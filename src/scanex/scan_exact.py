@@ -16,12 +16,12 @@ stationary 1-dependent sequence, which is what connects the scan statistic
 to the approximation machinery in :mod:`scanex.extremes`:
 
 * ``block_q_sequence``  ->  q_k = P(max(W_1..W_k) <= n) = P(S_m((k+1)m) <= n)
-* ``block_p_sequence``  ->  p_k = P(min(W_1..W_k) > n)
+* ``block_p_sequence``  ->  p_k = P(min(W_1..W_k) > n), from the same chain's
+  tails through the inverse of the q recursion
 
 Exact computations refuse to run past hard resource caps (a chain of more
 than ``MAX_CHAIN_STATES = 2**24`` states or words wider than 63 bits,
-``N <= 22`` for enumeration, ``kmax <= 8`` for the joint block law) instead
-of silently thrashing.
+``N <= 22`` for enumeration) instead of silently thrashing.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extremes import CapacityError, PSequence, QSequence
+from .extremes import CapacityError, PSequence, QSequence, _p_from_complements
 
 __all__ = [
     "MAX_CHAIN_STATES",
     "MAX_BRUTE_N",
-    "MAX_BLOCK_K",
     "BernoulliScanSpec",
     "exact_scan_cdf",
     "brute_force_scan_cdf",
@@ -49,7 +48,6 @@ __all__ = [
 # every n fits up to m = 26, where C(26, 13) = 10 400 600 states take 0.5 GB
 MAX_CHAIN_STATES = 1 << 24
 MAX_BRUTE_N = 22   # enumeration touches 2**N outcomes
-MAX_BLOCK_K = 8    # joint block law: (kmax+1)*m chain steps with flag doubling
 
 
 @dataclass(frozen=True)
@@ -82,26 +80,6 @@ def _popcount_u32(codes: np.ndarray) -> np.ndarray:
     return ((s * np.uint32(0x01010101)) >> 24).astype(np.int64)
 
 
-def _fold(a0: np.ndarray, a1: np.ndarray, q: float, p: float, out: np.ndarray) -> None:
-    """Push one trial into every mask, s -> ((s << 1) | bit) mod M, into ``out``.
-
-    ``a0`` holds the mass that may append a failure and ``a1`` the mass that
-    may append a success (pass the same array when neither is masked).
-    Masks s and s + M/2 merge into 2s and 2s + 1; the merged sums are then
-    scaled by q and p.
-    """
-    M = a0.shape[0]
-    if M == 1:
-        out[0] = a0[0] * q + a1[0] * p
-        return
-    half = M >> 1
-    merged = a0[:half] + a0[half:]
-    np.multiply(merged, q, out=out[0::2])
-    if a1 is not a0:
-        merged = a1[:half] + a1[half:]
-    np.multiply(merged, p, out=out[1::2])
-
-
 # The chain is the minimal automaton of the question "has any window of m
 # trials held more than n successes?".  Given the past, let cap(k) be the
 # largest number of successes the next k trials may hold without any window
@@ -128,6 +106,12 @@ def _fold(a0: np.ndarray, a1: np.ndarray, q: float, p: float, out: np.ndarray) -
 # So P(S_m(N) <= n) = u_N(w0) for N >= m, and one pass reads every stop.
 # Before trial m, u_N(w0) also counts the windows cut short by the start,
 # which callers never read.
+#
+# The tail v_t = 1 - u_t obeys the same recursion plus p on every even word,
+# whose success exceeds n: v_0 = 0 and v_{t+1}(w) = q v_t(fail(w))
+# + p [w odd] v_t(succ(w)) + p [w even].  Run directly, it gives
+# P(S_m(N) > n) to its own relative precision, where 1 - u_N(w0) keeps only
+# the absolute precision of a number near 1.
 
 
 def _budget_words(m: int, n: int) -> np.ndarray:
@@ -174,42 +158,48 @@ def _successor_index(m: int, n: int) -> np.ndarray:
     return idx
 
 
-def _survival_vectors(m: int, p: float, n: int, stops):
+def _survival_vectors(m: int, p: float, n: int, stops, tail: bool = False):
     """Yield u_t over the words of ``_budget_words(m, n)`` at each of the
-    ascending ``stops``, as a view of a buffer the next step overwrites.
+    ascending ``stops``, as a view of a buffer the next step overwrites;
+    with ``tail``, yield v_t = 1 - u_t instead.
 
     A step is one gather of the S = C(m, n) failure successors and the
     C(m - 1, n - 1) success successors, one scaling by q or p and one add
-    into the odd block.
+    into the odd block; the tail form adds p to the even block as well.
     """
     idx = _successor_index(m, n)
     S = math.comb(m, n)
     E = math.comb(m - 1, n)
     weight = np.concatenate((np.full(S, 1.0 - p), np.full(S - E, p)))
     size = idx.shape[0]
-    cur, nxt = ((u, u[E:S], u[S:]) for u in (np.ones(size), np.empty(size)))
+    start = np.zeros(size) if tail else np.ones(size)
+    cur, nxt = ((u, u[:E], u[E:S], u[S:]) for u in (start, np.empty(size)))
     t = 0
     for stop in stops:
         for _ in range(stop - t):
-            u, odd, succ = nxt
+            u, even, odd, succ = nxt
             # every index is in range; "clip" skips a buffered bounds check
             cur[0].take(idx, out=u, mode="clip")
             np.multiply(u, weight, out=u)
             np.add(odd, succ, out=odd)
+            if tail:
+                np.add(even, p, out=even)
             cur, nxt = nxt, cur
         t = stop
         yield cur[0][:S]
 
 
-def _chain_survival(m: int, p: float, n: int, trials) -> tuple[float, ...]:
-    """P(S_m(N) <= n) for every N in ``trials``, from one pass of the chain.
+def _chain_survival(m: int, p: float, n: int, trials, tail: bool = False) -> tuple[float, ...]:
+    """P(S_m(N) <= n) for every N in ``trials``, from one pass of the chain;
+    with ``tail``, P(S_m(N) > n), accurate relative to its own size.
 
     The pass runs to the largest N over the C(m, n) states of the minimal
     chain, in O(N * C(m, n)) time.  Raises CapacityError past
     ``MAX_CHAIN_STATES`` states or for words wider than 63 bits.
     """
+    certain = 0.0 if tail else 1.0  # the value where no window can exceed n
     if n >= m:
-        return tuple(1.0 for _ in trials)
+        return tuple(certain for _ in trials)
     stops = sorted({N for N in trials if N >= m})
     at = {}
     if stops:
@@ -221,8 +211,9 @@ def _chain_survival(m: int, p: float, n: int, trials) -> tuple[float, ...]:
                 f"chain limited to {MAX_CHAIN_STATES} states; m={m}, n={n} needs {states}"
             )
         w0 = math.comb(m - 1, n) if n else 0  # (1 << n) - 1, the first odd word
-        at = {N: float(u[w0]) for N, u in zip(stops, _survival_vectors(m, p, n, stops))}
-    return tuple(at.get(N, 1.0) for N in trials)
+        vectors = _survival_vectors(m, p, n, stops, tail)
+        at = {N: float(u[w0]) for N, u in zip(stops, vectors)}
+    return tuple(at.get(N, certain) for N in trials)
 
 
 def exact_scan_cdf(spec: BernoulliScanSpec) -> float:
@@ -270,53 +261,20 @@ def block_q_sequence(m: int, p: float, n: int, kmax: int) -> QSequence:
 
 
 def block_p_sequence(m: int, p: float, n: int, kmax: int) -> PSequence:
-    """p_k = P(min(W_1..W_k) > n) for k = 1..kmax, by joint dynamic program.
+    """p_k = P(min(W_1..W_k) > n) for k = 1..kmax.
 
-    Unlike the q side this is not a single scan CDF (all blocks must
-    exceed), so the chain keeps every mask and is augmented with one flag:
-    whether the block currently being filled has already produced a window
-    above n.  At each shared window (trial (j+1)*m, j >= 1) block j is
-    settled: mass survives only if its flag is set or the shared window
-    exceeds, and the flag restarts as the shared window's own exceedance.
+    The W_k are stationary and 1-dependent, so the p's follow from the
+    q's by inverting the inclusion-exclusion recursion of ``qn_from_p``.
+    One tail pass of the chain over (kmax+1)*m trials gives every
+    a_k = 1 - q_k = P(S_m((k+1)m) > n) to its own relative precision, and
+    the inverse recursion, run in those complements, turns them into p_k.
+    Time is O((kmax+1) * m * C(m, n)) and the caps are those of the chain.
+    The p_k are accurate in absolute terms, to some ulp of a_kmax; high-k
+    terms below that keep only rounding noise and may come out as tiny
+    negative values.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     BernoulliScanSpec(m=m, p=p, N=(kmax + 1) * m, n=n)  # validates the inputs
-    if kmax > MAX_BLOCK_K:
-        raise CapacityError(f"joint block law limited to kmax <= {MAX_BLOCK_K}")
-    M = 1 << (m - 1) if m > 1 else 1
-    if M > MAX_CHAIN_STATES:
-        raise CapacityError(f"joint block law limited to {MAX_CHAIN_STATES} masks (m <= 25)")
-
-    pc = _popcount_u32(np.arange(M))
-    # does the window completed by appending bit b stay at or below n
-    keep0 = (pc <= n).astype(float)
-    keep1 = (pc < n).astype(float)
-    drop0 = 1.0 - keep0
-    drop1 = 1.0 - keep1
-    q = 1.0 - p
-
-    v0 = np.zeros(M)  # flag clear
-    v0[0] = 1.0
-    v1 = np.zeros(M)  # flag set
-    nv0 = np.empty(M)
-    nv1 = np.empty(M)
-    out: list[float] = []
-    for t in range(1, (kmax + 1) * m + 1):
-        if t < m:
-            _fold(v0, v0, q, p, nv0)
-            v0, nv0 = nv0, v0
-            continue
-        settle = t >= 2 * m and t % m == 0
-        if settle:
-            # settle block t/m - 1 on the shared window
-            both = v1 + v0
-            _fold(v1 * keep0, v1 * keep1, q, p, nv0)
-            _fold(both * drop0, both * drop1, q, p, nv1)
-        else:
-            _fold(v0 * keep0, v0 * keep1, q, p, nv0)
-            _fold(v1 + v0 * drop0, v1 + v0 * drop1, q, p, nv1)
-        v0, nv0, v1, nv1 = nv0, v0, nv1, v1
-        if settle:
-            out.append(float(v0.sum() + v1.sum()))
-    return PSequence((1.0, *out))
+    a = _chain_survival(m, p, n, [(k + 1) * m for k in range(1, kmax + 1)], tail=True)
+    return PSequence((1.0, *_p_from_complements(a)))

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import joint_block_p
 
 from scanex.extremes import (
     PSequence,
@@ -28,7 +29,6 @@ from scanex.montecarlo import SimulationPlan, simulate_scan_cdf
 from scanex.pipeline import reproduce_table, sandwich
 from scanex.scan_exact import (
     BernoulliScanSpec,
-    block_p_sequence,
     block_q_sequence,
     brute_force_scan_cdf,
     exact_scan_cdf,
@@ -216,8 +216,10 @@ def test_criterion_7_recursion_identities():
         back = p_from_q(q)
         for k in range(4):
             assert abs(back[k] - p.p(k + 1)) < 1e-14
+    # block_p_sequence derives its p's from the q's, so the block law comes
+    # from the joint mask DP here
     for m, pp, n in ((3, 0.5, 2), (2, 0.3, 1), (4, 0.6, 3), (9, 0.05, 3)):
-        ps = block_p_sequence(m, pp, n, kmax=4)
+        ps = joint_block_p(m, pp, n, kmax=4)
         qs = block_q_sequence(m, pp, n, kmax=4)
         for k in range(1, 5):
             assert abs(qn_from_p(ps, k) - qs.q(k)) < 1e-12

@@ -217,7 +217,7 @@ def test_sparse_block_law_matches_exact_sequences(m, p, n, L):
     assert p < montecarlo._SPARSE_BELOW
     s = simulate_block_sequence(BernoulliScanSpec(m, p, L * m, n), L=L, reps=reps,
                                 seed=L * 100 + m)
-    q, ps = block_q_sequence(m, p, n, L - 1), block_p_sequence(m, p, n, min(L - 1, 8))
+    q, ps = block_q_sequence(m, p, n, L - 1), block_p_sequence(m, p, n, L - 1)
     for est, truth in [(s.q_hat[k - 1], q.q(k)) for k in range(1, L)] + \
                       [(s.p_hat[k - 1], ps.p(k)) for k in range(1, ps.order + 1)]:
         se = np.sqrt(truth * (1.0 - truth) / reps)

@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from oracles import joint_block_p, mp_scan_tails
 
 from scanex import pipeline, scan_exact
-from scanex.extremes import CapacityError, qn_from_p
+from scanex.extremes import CapacityError, PSequence, qn_from_p
 from scanex.pipeline import format_probability, sandwich, scan_approximation
 from scanex.scan_exact import (
     MAX_CHAIN_STATES,
@@ -304,9 +306,10 @@ def test_block_joint_law_against_enumeration(m, p, n, kmax):
 
 def test_block_p_and_q_are_dual():
     # the q-recursion applied to the joint p law must reproduce the plain
-    # scan CDF values: both describe the same 1-dependent sequence
+    # scan CDF values: both describe the same 1-dependent sequence.  The p's
+    # come from the mask DP, since block_p_sequence derives them from the q's
     for m, p, n in ((3, 0.5, 2), (2, 0.4, 1), (4, 0.6, 3)):
-        ps = block_p_sequence(m, p, n, kmax=4)
+        ps = joint_block_p(m, p, n, kmax=4)
         qs = block_q_sequence(m, p, n, kmax=4)
         for k in range(1, 5):
             assert abs(qn_from_p(ps, k) - qs.q(k)) < 1e-12
@@ -318,9 +321,50 @@ def test_block_p_envelope():
         assert ps.p(k) <= ps.p1 ** math.floor((k + 1) / 2) + 1e-15
 
 
+@pytest.mark.parametrize("p", [0.01, 0.05, 0.3, 0.9])
+def test_block_p_matches_joint_dp(p):
+    # the p's derived from one tail pass agree with the joint mask DP to
+    # within a rounding per chain step
+    kmax = 8
+    for m in range(1, 13):
+        for n in range(m):
+            ps = block_p_sequence(m, p, n, kmax)
+            ref = joint_block_p(m, p, n, kmax)
+            for k in range(1, kmax + 1):
+                assert abs(ps.p(k) - ref.p(k)) <= (kmax + 1) * m * 2.0**-52, (m, n, k)
+
+
+def test_tail_form_is_relatively_accurate():
+    # 1 - exact_scan_cdf loses 6e-11 to 4e-7 of these tails to cancellation
+    ref = {n: mp_scan_tails(9, 0.05, n, [90])[0] for n in (5, 6, 7)}
+    for n, want in ref.items():
+        got = _chain_survival(9, 0.05, n, (90,), tail=True)[0]
+        assert abs(got - want) <= 1e-14 * want, n
+
+
+@pytest.mark.parametrize("m, p, n", [(9, 0.05, 3), (9, 0.05, 5), (10, 0.0165, 1),
+                                     (10, 0.05, 7)])
+def test_block_p_against_60_digit_reference(m, p, n):
+    kmax = 8
+    a = mp_scan_tails(m, p, n, [(k + 1) * m for k in range(1, kmax + 1)])
+    with mpmath.workdps(60):
+        # the inverse recursion as printed, with a_0 = 0
+        ref = [mpmath.mpf(1)]
+        for i in range(1, kmax + 1):
+            s = (a[i - 1] + sum((-1) ** j * ref[j] for j in range(1, i))
+                 - sum((-1) ** j * ref[j] * a[i - 2 - j] for j in range(i - 1)))
+            ref.append((-1) ** (i + 1) * s)
+    ps = block_p_sequence(m, p, n, kmax)
+    for k in range(1, kmax + 1):
+        assert abs(ps.p(k) - ref[k]) <= 1e-16, k
+
+
 def test_block_capacity():
-    with pytest.raises(CapacityError):
-        block_p_sequence(3, 0.5, 1, kmax=9)
+    # the block laws share the chain's caps: the state count, not kmax
+    with pytest.raises(CapacityError, match="states"):
+        block_p_sequence(27, 0.5, 13, kmax=2)
+    ps = block_p_sequence(40, 0.01, 3, 30)
+    assert isinstance(ps, PSequence) and ps.order == 30
     # both block laws validate their inputs as one scan spec
     for block_sequence in (block_p_sequence, block_q_sequence):
         with pytest.raises(ValueError, match="m must be at least 1"):
