@@ -11,9 +11,12 @@ Subcommands:
 * ``scan tables``   regenerate the reference tables
 
 Data goes to stdout in csv (default), json or md; diagnostics go to
-stderr.  Exit codes: 0 success, 2 invalid input, 3 resource cap exceeded.
-Missing values (inapplicable bounds) render as an empty csv field, a json
-null, and a minus sign in md.
+stderr.  csv and json carry every value at full precision; md shows the
+paper's digits.  ``scan tables`` is display-only in every format, so its
+json cells are strings.  Missing values (inapplicable bounds) render as an
+empty csv field, a json null, and a minus sign in md.  Exit codes: 0
+success, 1 stdout closed by its reader, 2 invalid input, 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from .extremes import (
 from .montecarlo import SimulationPlan, simulate_scan_cdf
 from .pipeline import (
     _coeff_cells,
-    format_bound,
-    format_probability,
+    _report_cells,
     reproduce_table,
     sandwich,
     scan_approximation,
@@ -57,19 +59,6 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _json_value(v):
-    if v is None or isinstance(v, (int, float)):
-        return v
-    try:
-        return int(v)
-    except ValueError:
-        pass
-    try:
-        return float(v)
-    except ValueError:
-        return v
-
-
 def _emit(headers, rows, fmt: str) -> None:
     if fmt == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
@@ -77,9 +66,7 @@ def _emit(headers, rows, fmt: str) -> None:
         for row in rows:
             w.writerow([_cell(v) for v in row])
     elif fmt == "json":
-        payload = [
-            {k: _json_value(v) for k, v in zip(headers, row)} for row in rows
-        ]
+        payload = [dict(zip(headers, row)) for row in rows]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     else:  # md
         print("| " + " | ".join(headers) + " |")
@@ -95,7 +82,8 @@ def _emit_record(pairs: list[tuple[str, object]], fmt: str) -> None:
 
 
 def _cmd_coeffs(args) -> int:
-    _emit_record(list(_coeff_cells(error_coefficients(args.alpha)).items()), args.format)
+    cells = _coeff_cells(error_coefficients(args.alpha), args.format == "md")
+    _emit_record(list(cells.items()), args.format)
     return 0
 
 
@@ -141,34 +129,14 @@ def _cmd_scan_approx(args) -> int:
         args.m, args.p, args.L, args.n,
         want_exact=args.with_exact, want_T3=args.t3,
     )
-
-    # csv and json carry full precision; only md shows the paper's digits
-    md = args.format == "md"
-
-    def prob(v):
-        return format_probability(v) if md and v is not None else v
-
-    def bound(v):
-        return format_bound(v) if md and v is not None else v
-
+    cells = _report_cells(r, args.format == "md")
     pairs: list[tuple[str, object]] = [
         ("m", r.m), ("p", r.p), ("L", r.L), ("n", r.n),
-        ("q1", prob(r.q1)),
-        ("q2", prob(r.q2)),
-        ("approx", prob(r.approx_T4)),
-        ("exact", prob(r.exact)),
-        ("EH", bound(r.EH)),
-        ("E", bound(r.E)),
-        ("alpha", r.alpha_used),
-        ("range_exceeded", int(r.range_exceeded)),
+        *((k, cells[k]) for k in ("q1", "q2", "approx", "exact", "EH", "E")),
+        ("alpha", r.alpha_used), ("range_exceeded", int(r.range_exceeded)),
     ]
     if args.t3:
-        pairs += [
-            ("q3", prob(r.q3)),
-            ("q4", prob(r.q4)),
-            ("approx_T3", prob(r.approx_T3)),
-            ("E_T3", bound(r.E_T3)),
-        ]
+        pairs += [(k, cells[k]) for k in ("q3", "q4", "approx_T3", "E_T3")]
     _emit_record(pairs, args.format)
     if r.range_exceeded:
         print("note: 1-q1 exceeds 0.1; approximation not applicable", file=sys.stderr)
@@ -308,11 +276,16 @@ def main(argv: list[str] | None = None) -> int:
                 args.threads = _default_threads()
             elif args.threads < 1:
                 raise ValueError("--threads must be at least 1")
-        return args.fn(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader is gone: let the shutdown flush write to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    except (ValueError, OSError) as e:  # OSError: the --pfile could not be read
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CapacityError as e:

@@ -7,8 +7,10 @@ and the older fixed-constant bound ``EH``; ``sandwich`` brackets a general
 trial count between two exactly computed multiples of ``m``.
 
 ``reproduce_table`` regenerates the four reference tables shipped with the
-package documentation.  Cell rendering follows the tables' own conventions,
-which truncate rather than round at the last kept digit:
+package documentation.  ``_coeff_cells`` and ``_report_cells`` give a
+record's raw values or its display cells under the same column names.  The
+display follows the tables' own conventions, which truncate rather than
+round at the last kept digit:
 
 * probabilities: round to 6 decimals first (collapsing float dust), print
   "1." for anything reaching 1, otherwise truncate to 5 decimals;
@@ -16,8 +18,8 @@ which truncate rather than round at the last kept digit:
   otherwise scientific notation with a truncated single-digit mantissa;
 * coefficient tables: l and the derived columns 1 + alpha*K, 3 +
   alpha*Gamma truncate to 4 decimals, K rounds to 4, Gamma rounds to 3,
-  and the derived columns are computed from the printed (rounded) K and
-  Gamma, not the full-precision ones.
+  and the printed derived columns are computed from the printed (rounded)
+  K and Gamma; the raw ones from the full-precision K and Gamma.
 
 Three cells of the published originals cannot be regenerated from their
 own defining formulas; the renderer stays with the formulas.  See the
@@ -210,52 +212,74 @@ def sandwich(m: int, p: float, N: int, n: int) -> SandwichResult:
     return SandwichResult(lower=lower, upper=upper, L=L)
 
 
-def _coeff_cells(c: ErrorCoefficients) -> dict[str, str]:
-    """Display strings of the coefficients at one level, keyed by column
-    name, under the coefficient-table rules of the module docstring."""
-    k4 = round(c.K, 4)
-    g3 = round(c.Gamma, 3)
-    return {
-        "alpha": f"{c.alpha:.3f}",
-        "t2": f"{c.t2:.6f}",
-        "l": f"{truncate(c.l, 4):.4f}",
-        "eta": f"{c.eta:.6f}",
-        "K": f"{k4:.4f}",
-        "L": f"{round(c.Lcoef, 3):.3f}",
-        "E": f"{round(c.Ecoef, 3):.3f}",
-        "Gamma": f"{g3:.3f}",
-        "1+alpha*K": f"{truncate(1.0 + c.alpha * k4, 4):.4f}",
-        "3+alpha*Gamma": f"{truncate(3.0 + c.alpha * g3, 4):.4f}",
-    }
+def _truncate4(x: float) -> str:
+    return f"{truncate(x, 4):.4f}"
+
+
+def _coeff_cells(c: ErrorCoefficients, display: bool) -> dict[str, float | str]:
+    """The coefficients at one level keyed by column name: the raw values,
+    or with ``display`` the cells under the coefficient-table rules of the
+    module docstring."""
+    K, Gamma = (round(c.K, 4), round(c.Gamma, 3)) if display else (c.K, c.Gamma)
+    columns = (
+        ("alpha", c.alpha, "{:.3f}".format),
+        ("t2", c.t2, "{:.6f}".format),
+        ("l", c.l, _truncate4),
+        ("eta", c.eta, "{:.6f}".format),
+        ("K", K, "{:.4f}".format),
+        ("L", c.Lcoef, "{:.3f}".format),
+        ("E", c.Ecoef, "{:.3f}".format),
+        ("Gamma", Gamma, "{:.3f}".format),
+        ("1+alpha*K", 1.0 + c.alpha * K, _truncate4),
+        ("3+alpha*Gamma", 3.0 + c.alpha * Gamma, _truncate4),
+    )
+    return {name: rule(v) if display else v for name, v, rule in columns}
 
 
 def _coeff_table(which: int) -> TableResult:
     headers = ("alpha", "l", "K", "1+alpha*K") if which == 1 else (
         "alpha", "Gamma", "3+alpha*Gamma")
-    cells = [_coeff_cells(error_coefficients(a)) for a in COEFF_TABLE_ALPHAS]
+    cells = [_coeff_cells(error_coefficients(a), True) for a in COEFF_TABLE_ALPHAS]
     return TableResult(
         headers=headers, rows=tuple(tuple(c[h] for h in headers) for c in cells)
     )
 
 
+# (column, ScanReport field, display rule)
+_REPORT_COLUMNS = (
+    ("q1", "q1", format_probability),
+    ("q2", "q2", format_probability),
+    ("approx", "approx_T4", format_probability),
+    ("exact", "exact", format_probability),
+    ("EH", "EH", format_bound),
+    ("E", "E", format_bound),
+    ("q3", "q3", format_probability),
+    ("q4", "q4", format_probability),
+    ("approx_T3", "approx_T3", format_probability),
+    ("E_T3", "E_T3", format_bound),
+)
+
+
+def _report_cells(r: ScanReport, display: bool) -> dict[str, float | str | None]:
+    """The probabilities and bounds of a report keyed by column name: the
+    raw values, or with ``display`` the cells under the probability and
+    bound rules of the module docstring.  A missing value is None either
+    way."""
+    cells = {}
+    for name, field, rule in _REPORT_COLUMNS:
+        v = getattr(r, field)
+        cells[name] = rule(v) if display and v is not None else v
+    return cells
+
+
 def _scan_table(which: int) -> TableResult:
     m, p, L, thresholds = SCAN_TABLE_PARAMS[which]
+    headers = ("n", "q1", "q2", "approx", "exact", "EH", "E")
     rows = []
     for n in thresholds:
-        r = scan_approximation(m, p, L, n, want_exact=True)
-        rows.append((
-            str(n),
-            format_probability(r.q1),
-            format_probability(r.q2),
-            format_probability(r.approx_T4) if r.approx_T4 is not None else None,
-            format_probability(r.exact),
-            format_bound(r.EH) if r.EH is not None else None,
-            format_bound(r.E) if r.E is not None else None,
-        ))
-    return TableResult(
-        headers=("n", "q1", "q2", "approx", "exact", "EH", "E"),
-        rows=tuple(rows),
-    )
+        cells = _report_cells(scan_approximation(m, p, L, n, want_exact=True), True)
+        rows.append((str(n), *(cells[h] for h in headers[1:])))
+    return TableResult(headers=headers, rows=tuple(rows))
 
 
 def reproduce_table(which: int) -> TableResult:

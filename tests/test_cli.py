@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,15 @@ from pathlib import Path
 import pytest
 
 from scanex.cli import main
-from scanex.pipeline import scan_approximation
+from scanex.extremes import PSequence, error_coefficients, solve_lambda
+from scanex.montecarlo import SimulationPlan, simulate_scan_cdf
+from scanex.pipeline import (
+    format_bound,
+    format_probability,
+    sandwich,
+    scan_approximation,
+)
+from scanex.scan_exact import BernoulliScanSpec, exact_scan_cdf
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -29,6 +38,16 @@ def parse_csv(text):
 # ------------------------------------------------------------------- coeffs
 
 
+def coeff_values(alpha):
+    """The API's coefficients at ``alpha`` under the CLI's column names."""
+    c = error_coefficients(alpha)
+    return {
+        "alpha": c.alpha, "t2": c.t2, "l": c.l, "eta": c.eta, "K": c.K,
+        "L": c.Lcoef, "E": c.Ecoef, "Gamma": c.Gamma,
+        "1+alpha*K": 1.0 + c.alpha * c.K, "3+alpha*Gamma": 3.0 + c.alpha * c.Gamma,
+    }
+
+
 def test_coeffs_csv_and_json_agree(capsys):
     code, out, err = run_main(capsys, "coeffs", "--alpha", "0.025")
     assert code == 0 and err == ""
@@ -38,18 +57,21 @@ def test_coeffs_csv_and_json_agree(capsys):
     assert code == 0
     as_json = json.loads(out)
     for key, val in as_json.items():
-        assert float(record[key]) == pytest.approx(float(val), abs=1e-12)
+        assert float(record[key]) == float(val)
 
 
 def test_coeffs_published_row(capsys):
-    _, out, _ = run_main(capsys, "coeffs", "--alpha", "0.025")
-    _, rows = parse_csv(out)
-    rec = dict(zip(out.splitlines()[0].split(","), rows[0]))
+    _, out, _ = run_main(capsys, "coeffs", "--alpha", "0.025", "--format", "md")
+    rec = parse_md(out)
     assert rec["l"] == "1.0835"
     assert rec["K"] == "17.5663"
     assert rec["Gamma"] == "145.202"
     assert rec["1+alpha*K"] == "1.4391"
     assert rec["3+alpha*Gamma"] == "6.6300"
+    # csv carries the API's floats exactly
+    _, out, _ = run_main(capsys, "coeffs", "--alpha", "0.025")
+    header, rows = parse_csv(out)
+    assert dict(zip(header, map(float, rows[0]))) == coeff_values(0.025)
 
 
 def test_coeffs_domain_error_exit_2(capsys):
@@ -188,6 +210,20 @@ def test_scan_approx_t3_columns(capsys):
         assert key in rec and rec[key] != ""
 
 
+def test_scan_approx_t3_md_uses_the_paper_digits(capsys):
+    code, out, _ = run_main(
+        capsys, "scan", "approx", "--m", "9", "--p", "0.05", "--L", "10", "--n", "3",
+        "--t3", "--format", "md",
+    )
+    assert code == 0
+    rec = parse_md(out)
+    r = scan_approximation(9, 0.05, 10, 3, want_T3=True)
+    assert rec["q3"] == format_probability(r.q3)
+    assert rec["q4"] == format_probability(r.q4)
+    assert rec["approx_T3"] == format_probability(r.approx_T3)
+    assert rec["E_T3"] == format_bound(r.E_T3)
+
+
 def test_scan_approx_range_exceeded_note(capsys):
     code, out, err = run_main(
         capsys, "scan", "approx", "--m", "9", "--p", "0.3", "--L", "5", "--n", "2"
@@ -245,6 +281,30 @@ def test_scan_simulate_seed_out_of_range_exit_2(capsys):
     assert code == 0 and out
 
 
+SIM_ARGV = ("scan", "simulate", "--m", "3", "--p", "0.5", "--N", "8", "--n", "2",
+            "--reps", "1000")
+
+
+@pytest.mark.parametrize("argv, env, setting", [
+    (("--threads", "0"), None, "--threads"),
+    ((), "x", "SCANEX_THREADS"),
+    ((), "0", "SCANEX_THREADS"),
+])
+def test_bad_thread_count_exit_2(capsys, monkeypatch, argv, env, setting):
+    if env is not None:
+        monkeypatch.setenv("SCANEX_THREADS", env)
+    code, out, err = run_main(capsys, *SIM_ARGV, *argv)
+    assert code == 2 and out == "" and setting in err
+
+
+def test_bad_thread_env_ignored_where_unused(capsys, monkeypatch):
+    monkeypatch.setenv("SCANEX_THREADS", "x")
+    code, out, _ = run_main(capsys, *SIM_ARGV, "--threads", "2")
+    assert code == 0 and out
+    code, out, _ = run_main(capsys, "coeffs", "--alpha", "0.025")
+    assert code == 0 and out
+
+
 def test_bad_probability_exit_2(capsys):
     code, out, err = run_main(
         capsys, "scan", "exact", "--m", "3", "--p", "1.5", "--N", "8", "--n", "2"
@@ -273,7 +333,65 @@ def test_tables_json_blank_cells_are_null(capsys):
     data = json.loads(out)
     assert len(data) == 6
     assert data[0]["EH"] is None
-    assert data[1]["EH"] == 0.00032
+    assert data[1]["EH"] == "0.00032"
+
+
+# --------------------------------------------------------- lossless output
+
+
+def _lossless_case(name, tmp_path):
+    """(argv, {column: API value}) for one command's float columns."""
+    if name == "coeffs":
+        return ["coeffs", "--alpha", "0.025"], coeff_values(0.025)
+    if name == "lambda":
+        pfile = tmp_path / "p.txt"
+        pfile.write_text("0.05\n0.0025\n0.000125\n6.25e-6\n")
+        ps = PSequence((1.0, 0.05, 0.0025, 0.000125, 6.25e-6))
+        r = solve_lambda(ps, 0.05)
+        return ["lambda", "--pfile", str(pfile), "--alpha", "0.05"], {
+            "alpha": 0.05, "p1": ps.p1, "lambda": r.lam,
+            "bracket_low": r.bracket_low, "bracket_high": r.bracket_high,
+            "center_T1": r.center_T1, "bound_T1": r.bound_T1,
+            "center_C1": r.center_C1, "bound_C1": r.bound_C1,
+            "residual_bound": r.residual_bound,
+        }
+    spec = ["--m", "9", "--p", "0.05"]
+    if name == "exact":
+        value = exact_scan_cdf(BernoulliScanSpec(m=9, p=0.05, N=93, n=3))
+        return ["scan", "exact", *spec, "--N", "93", "--n", "3"], {
+            "p": 0.05, "value": value}
+    if name == "sandwich":
+        r = sandwich(9, 0.05, 93, 3)
+        return ["scan", "sandwich", *spec, "--N", "93", "--n", "3"], {
+            "p": 0.05, "lower": r.lower, "upper": r.upper}
+    if name == "simulate":
+        plan = SimulationPlan(spec=BernoulliScanSpec(m=9, p=0.05, N=90, n=3),
+                              reps=20000, seed=1, stream_count=4)
+        r = simulate_scan_cdf(plan, threads=1)
+        return ["scan", "simulate", *spec, "--N", "90", "--n", "3", "--reps", "20000",
+                "--seed", "1"], {
+            "p": 0.05, "estimate": r.estimate, "half_width_95": r.half_width_95}
+    r = scan_approximation(9, 0.05, 10, 3, want_exact=True, want_T3=True)
+    return ["scan", "approx", *spec, "--L", "10", "--n", "3", "--with-exact", "--t3"], {
+        "p": 0.05, "q1": r.q1, "q2": r.q2, "approx": r.approx_T4, "exact": r.exact,
+        "EH": r.EH, "E": r.E, "alpha": r.alpha_used, "q3": r.q3, "q4": r.q4,
+        "approx_T3": r.approx_T3, "E_T3": r.E_T3,
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["coeffs", "lambda", "exact", "sandwich", "simulate", "approx"])
+def test_machine_output_is_lossless(capsys, tmp_path, name):
+    argv, want = _lossless_case(name, tmp_path)
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    header, rows = parse_csv(out)
+    rec = dict(zip(header, rows[0]))
+    assert {k: float(rec[k]) for k in want} == want
+    code, out, _ = run_main(capsys, *argv, "--format", "json")
+    assert code == 0
+    got = json.loads(out)
+    assert {k: v for k, v in got.items() if isinstance(v, float)} == want
 
 
 # ------------------------------------------------------------ entry points
@@ -296,3 +414,22 @@ def test_version_flag():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("scanex ")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--alpha", "0.025"),
+    ("scan", "tables", "--which", "3", "--format", "json"),
+], ids=["coeffs", "tables-json"])
+def test_closed_stdout_exits_1_quietly(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the pipe fails
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "scanex", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
