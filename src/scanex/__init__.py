@@ -1,95 +1,15 @@
 """Extremes of 1-dependent stationary sequences, with certified error
-bounds, applied to the discrete scan statistic over Bernoulli trials."""
+bounds, applied to the discrete scan statistic over Bernoulli trials.
+
+Every name in a module's ``__all__`` is exported here as well."""
 
 __version__ = "0.1.0"
 
-from .extremes import (
-    ALPHA_MAX,
-    CapacityError,
-    Centers,
-    CubicRoot,
-    ErrorCoefficients,
-    Inapplicable,
-    LambdaResult,
-    LegacyBounds,
-    PSequence,
-    QSequence,
-    T3Approx,
-    T4Approx,
-    approx_qn_T3,
-    approx_qn_T4,
-    approx_qnlambda_centers,
-    c_series_eval,
-    error_coefficients,
-    legacy_bounds,
-    legacy_scan_bound,
-    p_from_q,
-    qn_from_p,
-    solve_cubic_t2,
-    solve_lambda,
-)
-from .montecarlo import (
-    BlockSample,
-    MCEstimate,
-    SimulationPlan,
-    simulate_block_sequence,
-    simulate_scan_cdf,
-)
-from .pipeline import (
-    SandwichResult,
-    ScanReport,
-    TableResult,
-    reproduce_table,
-    sandwich,
-    scan_approximation,
-)
-from .scan_exact import (
-    BernoulliScanSpec,
-    block_p_sequence,
-    block_q_sequence,
-    brute_force_scan_cdf,
-    exact_scan_cdf,
-)
+from . import extremes, montecarlo, pipeline, scan_exact
+from .extremes import *
+from .montecarlo import *
+from .pipeline import *
+from .scan_exact import *
 
-__all__ = [
-    "__version__",
-    "ALPHA_MAX",
-    "CapacityError",
-    "Centers",
-    "CubicRoot",
-    "ErrorCoefficients",
-    "Inapplicable",
-    "LambdaResult",
-    "LegacyBounds",
-    "PSequence",
-    "QSequence",
-    "T3Approx",
-    "T4Approx",
-    "approx_qn_T3",
-    "approx_qn_T4",
-    "approx_qnlambda_centers",
-    "c_series_eval",
-    "error_coefficients",
-    "legacy_bounds",
-    "legacy_scan_bound",
-    "p_from_q",
-    "qn_from_p",
-    "solve_cubic_t2",
-    "solve_lambda",
-    "BernoulliScanSpec",
-    "block_p_sequence",
-    "block_q_sequence",
-    "brute_force_scan_cdf",
-    "exact_scan_cdf",
-    "SandwichResult",
-    "ScanReport",
-    "TableResult",
-    "reproduce_table",
-    "sandwich",
-    "scan_approximation",
-    "BlockSample",
-    "MCEstimate",
-    "SimulationPlan",
-    "simulate_block_sequence",
-    "simulate_scan_cdf",
-]
+__all__ = ["__version__", *extremes.__all__, *montecarlo.__all__,
+           *pipeline.__all__, *scan_exact.__all__]

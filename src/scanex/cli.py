@@ -10,13 +10,15 @@ Subcommands:
 * ``scan simulate`` Monte Carlo estimate with reproducible streams
 * ``scan tables``   regenerate the reference tables
 
-Data goes to stdout in csv (default), json or md; diagnostics go to
-stderr.  csv and json carry every value at full precision; md shows the
-paper's digits.  ``scan tables`` is display-only in every format, so its
-json cells are strings.  Missing values (inapplicable bounds) render as an
-empty csv field, a json null, and a minus sign in md.  Exit codes: 0
-success, 1 stdout closed by its reader, 2 invalid input, 3 resource cap
-exceeded.
+Each command is one row of ``_COMMANDS`` and returns its record: a dict
+from column name to value, or a list of such dicts for ``scan tables``.
+``main`` writes the records to stdout in csv (default), json or md;
+diagnostics go to stderr.  csv and json carry every value at full
+precision; md shows the paper's digits.  ``scan tables`` is display-only
+in every format, so its json cells are strings.  Missing values
+(inapplicable bounds) render as an empty csv field, a json null, and a
+minus sign in md.  Exit codes: 0 success, 1 stdout closed by its reader,
+2 invalid input, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -26,14 +28,10 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
-from .extremes import (
-    CapacityError,
-    PSequence,
-    error_coefficients,
-    solve_lambda,
-)
+from .extremes import CapacityError, PSequence, error_coefficients, solve_lambda
 from .montecarlo import SimulationPlan, simulate_scan_cdf
 from .pipeline import (
     _coeff_cells,
@@ -42,11 +40,7 @@ from .pipeline import (
     sandwich,
     scan_approximation,
 )
-from .scan_exact import (
-    BernoulliScanSpec,
-    brute_force_scan_cdf,
-    exact_scan_cdf,
-)
+from .scan_exact import BernoulliScanSpec, brute_force_scan_cdf, exact_scan_cdf
 
 _MD_DASH = "−"
 
@@ -59,32 +53,32 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _emit(headers, rows, fmt: str) -> None:
+def _emit(records: dict | list[dict], fmt: str) -> None:
+    """Write one record, or a list of records sharing their columns."""
+    rows = [records] if isinstance(records, dict) else records
+    headers = list(rows[0])
     if fmt == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(headers)
         for row in rows:
-            w.writerow([_cell(v) for v in row])
+            w.writerow([_cell(v) for v in row.values()])
     elif fmt == "json":
-        payload = [dict(zip(headers, row)) for row in rows]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        print(json.dumps(rows[0] if len(rows) == 1 else rows, indent=2))
     else:  # md
         print("| " + " | ".join(headers) + " |")
         print("|" + "|".join(" ---: " for _ in headers) + "|")
         for row in rows:
-            cells = [_MD_DASH if v is None else _cell(v) for v in row]
+            cells = [_MD_DASH if v is None else _cell(v) for v in row.values()]
             print("| " + " | ".join(cells) + " |")
 
 
-def _emit_record(pairs: list[tuple[str, object]], fmt: str) -> None:
-    headers = tuple(k for k, _ in pairs)
-    _emit(headers, [tuple(v for _, v in pairs)], fmt)
+def _given(args, names: str) -> dict:
+    """The named options as given, keyed by their names."""
+    return {k: getattr(args, k) for k in names.split()}
 
 
-def _cmd_coeffs(args) -> int:
-    cells = _coeff_cells(error_coefficients(args.alpha), args.format == "md")
-    _emit_record(list(cells.items()), args.format)
-    return 0
+def _cmd_coeffs(args) -> dict:
+    return _coeff_cells(error_coefficients(args.alpha), args.format == "md")
 
 
 def _read_p_file(path: str) -> PSequence:
@@ -103,95 +97,48 @@ def _read_p_file(path: str) -> PSequence:
     return PSequence((1.0, *values))
 
 
-def _cmd_lambda(args) -> int:
+def _cmd_lambda(args) -> dict:
     p = _read_p_file(args.pfile)
-    r = solve_lambda(p, args.alpha)
-    _emit_record(
-        [
-            ("alpha", args.alpha),
-            ("p1", p.p1),
-            ("lambda", r.lam),
-            ("bracket_low", r.bracket_low),
-            ("bracket_high", r.bracket_high),
-            ("center_T1", r.center_T1),
-            ("bound_T1", r.bound_T1),
-            ("center_C1", r.center_C1),
-            ("bound_C1", r.bound_C1),
-            ("residual_bound", r.residual_bound),
-        ],
-        args.format,
-    )
-    return 0
+    fields = asdict(solve_lambda(p, args.alpha))
+    return {"alpha": args.alpha, "p1": p.p1, "lambda": fields.pop("lam"), **fields}
 
 
-def _cmd_scan_approx(args) -> int:
+def _cmd_scan_approx(args) -> dict:
     r = scan_approximation(
         args.m, args.p, args.L, args.n,
         want_exact=args.with_exact, want_T3=args.t3,
     )
-    cells = _report_cells(r, args.format == "md")
-    pairs: list[tuple[str, object]] = [
-        ("m", r.m), ("p", r.p), ("L", r.L), ("n", r.n),
-        *((k, cells[k]) for k in ("q1", "q2", "approx", "exact", "EH", "E")),
-        ("alpha", r.alpha_used), ("range_exceeded", int(r.range_exceeded)),
-    ]
-    if args.t3:
-        pairs += [(k, cells[k]) for k in ("q3", "q4", "approx_T3", "E_T3")]
-    _emit_record(pairs, args.format)
     if r.range_exceeded:
         print("note: 1-q1 exceeds 0.1; approximation not applicable", file=sys.stderr)
-    return 0
+    cells = _report_cells(r, args.format == "md")
+    record = {
+        **_given(args, "m p L n"),
+        **{k: cells[k] for k in ("q1", "q2", "approx", "exact", "EH", "E")},
+        "alpha": r.alpha_used, "range_exceeded": int(r.range_exceeded),
+    }
+    if args.t3:
+        record.update((k, cells[k]) for k in ("q3", "q4", "approx_T3", "E_T3"))
+    return record
 
 
-def _cmd_scan_exact(args) -> int:
-    spec = BernoulliScanSpec(m=args.m, p=args.p, N=args.N, n=args.n)
+def _cmd_scan_exact(args) -> dict:
+    spec = BernoulliScanSpec(**_given(args, "m p N n"))
     fn = brute_force_scan_cdf if args.engine == "brute" else exact_scan_cdf
-    value = fn(spec)
-    _emit_record(
-        [("m", args.m), ("p", args.p), ("N", args.N), ("n", args.n),
-         ("engine", args.engine), ("value", value),
-         ("degenerate", int(args.N < args.m))],
-        args.format,
-    )
-    return 0
+    return {**_given(args, "m p N n engine"), "value": fn(spec),
+            "degenerate": int(args.N < args.m)}
 
 
-def _cmd_scan_sandwich(args) -> int:
+def _cmd_scan_sandwich(args) -> dict:
     r = sandwich(args.m, args.p, args.N, args.n)
-    _emit_record(
-        [("m", args.m), ("p", args.p), ("N", args.N), ("n", args.n),
-         ("L", r.L), ("lower", r.lower), ("upper", r.upper)],
-        args.format,
-    )
-    return 0
+    return {**_given(args, "m p N n"), "L": r.L, "lower": r.lower, "upper": r.upper}
 
 
-def _cmd_scan_simulate(args) -> int:
-    plan = SimulationPlan(
-        spec=BernoulliScanSpec(m=args.m, p=args.p, N=args.N, n=args.n),
-        reps=args.reps, seed=args.seed, stream_count=args.streams,
-    )
-    r = simulate_scan_cdf(plan, threads=args.threads)
-    _emit_record(
-        [("m", args.m), ("p", args.p), ("N", args.N), ("n", args.n),
-         ("reps", args.reps), ("seed", args.seed), ("streams", args.streams),
-         ("estimate", r.estimate), ("half_width_95", r.half_width_95)],
-        args.format,
-    )
-    return 0
-
-
-def _cmd_scan_tables(args) -> int:
-    t = reproduce_table(args.which)
-    _emit(t.headers, list(t.rows), args.format)
-    return 0
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json", "md"), default="csv")
-
-
-def _default_threads() -> int:
+def _threads(flag: int | None) -> int:
+    """``--threads``, else ``SCANEX_THREADS``, else 1."""
+    if flag is not None:
+        if flag < 1:
+            raise ValueError("--threads must be at least 1")
+        return flag
     raw = os.environ.get("SCANEX_THREADS", "1")
     try:
         v = int(raw)
@@ -202,68 +149,82 @@ def _default_threads() -> int:
     return v
 
 
+def _cmd_scan_simulate(args) -> dict:
+    threads = _threads(args.threads)
+    plan = SimulationPlan(
+        spec=BernoulliScanSpec(**_given(args, "m p N n")),
+        reps=args.reps, seed=args.seed, stream_count=args.streams,
+    )
+    r = simulate_scan_cdf(plan, threads=threads)
+    return {**_given(args, "m p N n reps seed streams"),
+            "estimate": r.estimate, "half_width_95": r.half_width_95}
+
+
+def _cmd_scan_tables(args) -> list[dict]:
+    t = reproduce_table(args.which)
+    return [dict(zip(t.headers, row)) for row in t.rows]
+
+
+def _required(name: str, typ: type) -> tuple[str, dict]:
+    return name, {"type": typ, "required": True}
+
+
+def _spec(count: str) -> list[tuple[str, dict]]:
+    """The problem options --m --p --n around the trial count --N or --L."""
+    return [_required("--m", int), _required("--p", float), _required(count, int),
+            _required("--n", int)]
+
+
+# (command path, help, function, options); every command also takes --format
+_COMMANDS = (
+    (("coeffs",), "error coefficients at a level alpha", _cmd_coeffs,
+     [_required("--alpha", float)]),
+    (("lambda",), "certified series root from a p-file", _cmd_lambda, [
+        ("--pfile", {"required": True,
+                     "help": "text file, one p_k per line for k = 1..K"}),
+        _required("--alpha", float)]),
+    (("scan", "approx"), "two-term approximation with bounds", _cmd_scan_approx, [
+        *_spec("--L"),
+        ("--with-exact", {"action": "store_true",
+                          "help": "also run the exact chain on L*m trials"}),
+        ("--t3", {"action": "store_true",
+                  "help": "also compute the four-term approximation"})]),
+    (("scan", "exact"), "exact CDF value", _cmd_scan_exact, [
+        *_spec("--N"),
+        ("--engine", {"choices": ("chain", "brute"), "default": "chain"})]),
+    (("scan", "sandwich"), "exact bracket for general N", _cmd_scan_sandwich,
+     _spec("--N")),
+    (("scan", "simulate"), "Monte Carlo estimate", _cmd_scan_simulate, [
+        *_spec("--N"),
+        _required("--reps", int),
+        ("--seed", {"type": int, "default": 0}),
+        ("--streams", {"type": int, "default": 4}),
+        ("--threads", {"type": int, "default": None,
+                       "help": "worker threads (default: SCANEX_THREADS or 1)"})]),
+    (("scan", "tables"), "regenerate a reference table", _cmd_scan_tables,
+     [("--which", {"type": int, "required": True, "choices": (1, 2, 3, 4)})]),
+)
+_GROUP_HELP = {"scan": "scan statistic computations"}
+_FORMAT = ("--format", {"choices": ("csv", "json", "md"), "default": "csv"})
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="scanex",
         description="Scan statistic distributions via 1-dependent extremes",
     )
     ap.add_argument("--version", action="version", version=f"scanex {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("coeffs", help="error coefficients at a level alpha")
-    pc.add_argument("--alpha", type=float, required=True)
-    _add_format(pc)
-    pc.set_defaults(fn=_cmd_coeffs)
-
-    pl = sub.add_parser("lambda", help="certified series root from a p-file")
-    pl.add_argument("--pfile", required=True,
-                    help="text file, one p_k per line for k = 1..K")
-    pl.add_argument("--alpha", type=float, required=True)
-    _add_format(pl)
-    pl.set_defaults(fn=_cmd_lambda)
-
-    ps = sub.add_parser("scan", help="scan statistic computations")
-    ssub = ps.add_subparsers(dest="scan_command", required=True)
-
-    pa = ssub.add_parser("approx", help="two-term approximation with bounds")
-    for name, typ in (("--m", int), ("--p", float), ("--L", int), ("--n", int)):
-        pa.add_argument(name, type=typ, required=True)
-    pa.add_argument("--with-exact", action="store_true",
-                    help="also run the exact chain on L*m trials")
-    pa.add_argument("--t3", action="store_true",
-                    help="also compute the four-term approximation")
-    _add_format(pa)
-    pa.set_defaults(fn=_cmd_scan_approx)
-
-    pe = ssub.add_parser("exact", help="exact CDF value")
-    for name, typ in (("--m", int), ("--p", float), ("--N", int), ("--n", int)):
-        pe.add_argument(name, type=typ, required=True)
-    pe.add_argument("--engine", choices=("chain", "brute"), default="chain")
-    _add_format(pe)
-    pe.set_defaults(fn=_cmd_scan_exact)
-
-    pw = ssub.add_parser("sandwich", help="exact bracket for general N")
-    for name, typ in (("--m", int), ("--p", float), ("--N", int), ("--n", int)):
-        pw.add_argument(name, type=typ, required=True)
-    _add_format(pw)
-    pw.set_defaults(fn=_cmd_scan_sandwich)
-
-    pm = ssub.add_parser("simulate", help="Monte Carlo estimate")
-    for name, typ in (("--m", int), ("--p", float), ("--N", int), ("--n", int)):
-        pm.add_argument(name, type=typ, required=True)
-    pm.add_argument("--reps", type=int, required=True)
-    pm.add_argument("--seed", type=int, default=0)
-    pm.add_argument("--streams", type=int, default=4)
-    pm.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: SCANEX_THREADS or 1)")
-    _add_format(pm)
-    pm.set_defaults(fn=_cmd_scan_simulate)
-
-    pt = ssub.add_parser("tables", help="regenerate a reference table")
-    pt.add_argument("--which", type=int, required=True, choices=(1, 2, 3, 4))
-    _add_format(pt)
-    pt.set_defaults(fn=_cmd_scan_tables)
-
+    subparsers = {(): ap.add_subparsers(dest="command", required=True)}
+    for path, help_text, fn, options in _COMMANDS:
+        group = path[:-1]
+        if group not in subparsers:
+            pg = subparsers[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
+            subparsers[group] = pg.add_subparsers(
+                dest=f"{group[0]}_command", required=True)
+        pc = subparsers[group].add_parser(path[-1], help=help_text)
+        for name, kwargs in (*options, _FORMAT):
+            pc.add_argument(name, **kwargs)
+        pc.set_defaults(fn=fn)
     return ap
 
 
@@ -271,14 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if hasattr(args, "threads"):
-            if args.threads is None:
-                args.threads = _default_threads()
-            elif args.threads < 1:
-                raise ValueError("--threads must be at least 1")
-        code = args.fn(args)
+        _emit(args.fn(args), args.format)
         sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
-        return code
+        return 0
     except BrokenPipeError:
         # the reader is gone: let the shutdown flush write to the null device
         devnull = os.open(os.devnull, os.O_WRONLY)

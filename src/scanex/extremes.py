@@ -126,6 +126,8 @@ class PSequence:
         v = self.values
         if len(v) < 2:
             raise ValueError("need at least p_0 and p_1")
+        if not all(map(math.isfinite, v)):
+            raise ValueError("p-sequence values must be finite")
         if abs(v[0] - 1.0) > _SLACK:
             raise ValueError("p_0 must equal 1")
         for k in range(1, len(v)):
@@ -164,6 +166,8 @@ class QSequence:
 
     def __post_init__(self) -> None:
         v = self.values
+        if not all(map(math.isfinite, v)):
+            raise ValueError("q-sequence values must be finite")
         if len(v) < 2 or abs(v[0] - 1.0) > _SLACK or abs(v[1] - 1.0) > _SLACK:
             raise ValueError("q_{-1} and q_0 must both equal 1")
         for i in range(2, len(v)):

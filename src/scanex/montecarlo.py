@@ -228,6 +228,8 @@ def simulate_scan_cdf(plan: SimulationPlan, threads: int = 1) -> MCEstimate:
     Degenerate specs (no window, or threshold at or above m) short-circuit
     to certainty.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     spec = plan.spec
     if spec.n >= spec.m or spec.N < spec.m:
         return MCEstimate(estimate=1.0, half_width_95=0.0, reps=plan.reps)

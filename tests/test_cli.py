@@ -1,5 +1,6 @@
 """Command line interface: formats, exit codes, golden tables."""
 
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from scanex.cli import main
+import scanex
+from scanex import extremes, montecarlo, pipeline, scan_exact
+from scanex.cli import build_parser, main
 from scanex.extremes import PSequence, error_coefficients, solve_lambda
 from scanex.montecarlo import SimulationPlan, simulate_scan_cdf
 from scanex.pipeline import (
@@ -96,6 +99,13 @@ def test_lambda_from_pfile(capsys, tmp_path):
     assert float(rec["bracket_low"]) < lam < float(rec["bracket_high"])
     assert float(rec["bound_T1"]) > 0.0
     assert abs(lam - float(rec["center_T1"])) <= float(rec["bound_T1"])
+
+
+def test_lambda_rejects_nan_in_pfile(capsys, tmp_path):
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("0.05\nnan\n0.0001\n0.00001\n")
+    code, out, err = run_main(capsys, "lambda", "--pfile", str(pfile), "--alpha", "0.1")
+    assert code == 2 and out == "" and "finite" in err
 
 
 def test_lambda_rejects_bad_file(capsys, tmp_path):
@@ -392,6 +402,60 @@ def test_machine_output_is_lossless(capsys, tmp_path, name):
     assert code == 0
     got = json.loads(out)
     assert {k: v for k, v in got.items() if isinstance(v, float)} == want
+
+
+# ------------------------------------------------------ front-end surface
+
+OPTIONS = {
+    ("coeffs",): ["--alpha"],
+    ("lambda",): ["--pfile", "--alpha"],
+    ("scan", "approx"): ["--m", "--p", "--L", "--n", "--with-exact", "--t3"],
+    ("scan", "exact"): ["--m", "--p", "--N", "--n", "--engine"],
+    ("scan", "sandwich"): ["--m", "--p", "--N", "--n"],
+    ("scan", "simulate"): ["--m", "--p", "--N", "--n", "--reps", "--seed",
+                           "--streams", "--threads"],
+    ("scan", "tables"): ["--which"],
+}
+
+
+def _subcommands(parser):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_parser_options_per_command():
+    top = _subcommands(build_parser())
+    assert list(top) == ["coeffs", "lambda", "scan"]
+    assert list(_subcommands(top["scan"])) == [
+        "approx", "exact", "sandwich", "simulate", "tables"]
+    for path, options in OPTIONS.items():
+        parser = top[path[0]] if len(path) == 1 else _subcommands(top["scan"])[path[1]]
+        got = [s for a in parser._actions for s in a.option_strings]
+        assert got == ["-h", "--help", *options, "--format"], path
+
+
+# the package's exports before each module's __all__ was re-exported whole
+EXPORTS_BEFORE = """
+    ALPHA_MAX BernoulliScanSpec BlockSample CapacityError Centers CubicRoot
+    ErrorCoefficients Inapplicable LambdaResult LegacyBounds MCEstimate PSequence
+    QSequence SandwichResult ScanReport SimulationPlan T3Approx T4Approx
+    TableResult __version__ approx_qn_T3 approx_qn_T4 approx_qnlambda_centers
+    block_p_sequence block_q_sequence brute_force_scan_cdf c_series_eval
+    error_coefficients exact_scan_cdf legacy_bounds legacy_scan_bound p_from_q
+    qn_from_p reproduce_table sandwich scan_approximation simulate_block_sequence
+    simulate_scan_cdf solve_cubic_t2 solve_lambda
+""".split()
+
+
+def test_package_exports_every_module_all():
+    modules = (extremes, montecarlo, pipeline, scan_exact)
+    assert scanex.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    assert isinstance(scanex.__version__, str)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(scanex, name) is getattr(m, name)
+    assert set(EXPORTS_BEFORE) <= set(scanex.__all__)
 
 
 # ------------------------------------------------------------ entry points

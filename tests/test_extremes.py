@@ -186,6 +186,17 @@ def test_q_sequence_validation_and_accessors():
         QSequence.from_tail([0.9, 0.95])  # not monotone
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sequences_reject_non_finite_values(bad):
+    # a NaN fails every comparison, so the range checks alone let it through
+    for values in ((1.0, 0.05, bad, 1e-4), (1.0, bad), (bad, 0.05)):
+        with pytest.raises(ValueError):
+            PSequence(values)
+    for values in ((1.0, 1.0, bad), (1.0, 1.0, 0.95, bad), (1.0, bad, 0.9)):
+        with pytest.raises(ValueError):
+            QSequence(values)
+
+
 # ------------------------------------------------------------------- series
 
 

@@ -102,6 +102,15 @@ def test_thread_count_does_not_change_output():
         assert simulate_scan_cdf(plan, threads=1) == simulate_scan_cdf(plan, threads=3)
 
 
+def test_threads_below_one_rejected():
+    # checked ahead of the degenerate short cut (n >= m) as well
+    for spec in (BernoulliScanSpec(4, 0.3, 30, 2), BernoulliScanSpec(4, 0.3, 30, 4)):
+        plan = SimulationPlan(spec, reps=100, seed=1)
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads must be at least 1"):
+                simulate_scan_cdf(plan, threads=threads)
+
+
 def test_chunking_does_not_change_stream():
     # two plans differing only in how replicates split across streams give
     # different results, but the same plan re-chunked internally does not;
