@@ -322,8 +322,8 @@ def legacy_bounds(p1: float) -> LegacyBounds | Inapplicable:
     Only valid for p1 <= 0.025; beyond that an Inapplicable marker is
     returned rather than an extrapolated number.
     """
-    if p1 < 0.0:
-        raise ValueError("p1 must be nonnegative")
+    if not (math.isfinite(p1) and p1 >= 0.0):
+        raise ValueError("p1 must be finite and nonnegative")
     if p1 > 0.025:
         return Inapplicable("fixed-constant bounds require p1 <= 0.025")
     return LegacyBounds(bound_th1=87.0 * p1**3, bound_th2=561.0 * p1**3)
@@ -332,8 +332,8 @@ def legacy_bounds(p1: float) -> LegacyBounds | Inapplicable:
 def legacy_scan_bound(q1: float, L: int) -> float | Inapplicable:
     """Older scan error bound built from the fixed constants, at 1-q1 <= 0.025."""
     a = 1.0 - q1
-    if a < -_SLACK or L < 1:
-        raise ValueError("need q1 <= 1 and L >= 1")
+    if not (math.isfinite(q1) and a >= -_SLACK and math.isfinite(L) and L >= 1):
+        raise ValueError("need finite q1 <= 1 and finite L >= 1")
     if a > 0.025:
         return Inapplicable("fixed-constant scan bound requires 1-q1 <= 0.025")
     n = L - 1
@@ -350,8 +350,9 @@ def c_series_eval(p: PSequence, z: float, tol: float = 1e-14) -> CSeriesValue:
     Requires z*sqrt(p_1) < 1 so the majorant converges (and z >= 0).
     """
     p1 = p.p1
-    if z < 0.0 or z * z * p1 >= 1.0:
-        raise ValueError("need 0 <= z and z*sqrt(p_1) < 1")
+    # stated as what must hold, so a NaN (or inf * inf * 0) fails it
+    if not (z >= 0.0 and z * z * p1 < 1.0):
+        raise ValueError("need finite 0 <= z and z*sqrt(p_1) < 1")
 
     def tail_after(k: int) -> float:
         # sum_{j > k} p1**floor(j/2) z**j, exactly

@@ -22,10 +22,15 @@ to the approximation machinery in :mod:`scanex.extremes`:
 Exact computations refuse to run past hard resource caps (a chain of more
 than ``MAX_CHAIN_STATES = 2**24`` states or words wider than 63 bits,
 ``N <= 22`` for enumeration) instead of silently thrashing.
+
+A chain's successor index depends only on (m, n).  The indexes of chains
+of at most 2**14 states are kept across calls, the 64 most recently used,
+so they retain at most 16 MiB; larger chains build theirs on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,8 +50,11 @@ __all__ = [
 
 # C(m, n) chain states, at a peak of 32 (1 + n/m) bytes each (two vectors,
 # the weights and the successor index; the index build peaks near 27 bytes):
-# every n fits up to m = 26, where C(26, 13) = 10 400 600 states take 0.5 GB
+# every n fits up to m = 26, where C(26, 13) = 10 400 600 states take 0.5 GB.
+# The successor index of a chain of at most 2**14 states (at most 256 KiB)
+# is kept across calls, 64 of them at most: 16 MiB retained in all.
 MAX_CHAIN_STATES = 1 << 24
+_CACHED_CHAIN_STATES = 1 << 14
 MAX_BRUTE_N = 22   # enumeration touches 2**N outcomes
 
 
@@ -139,7 +147,7 @@ def _successor_index(m: int, n: int) -> np.ndarray:
     Rotating a word right by one bit maps the state order onto ascending
     keys, so a position is a binary search among the keys.  Successors are
     placed a chunk at a time, so the build needs little beyond the keys and
-    the index itself.
+    the index itself.  The index is read-only, so callers may share it.
     """
     S, E = math.comb(m, n), math.comb(m - 1, n)
     top = 1 << (m - 1)
@@ -155,7 +163,14 @@ def _successor_index(m: int, n: int) -> np.ndarray:
             w = step(keys[a:min(hi, a + _INDEX_CHUNK)] & (top - 1))
             idx[at:at + w.shape[0]] = np.searchsorted(keys, (w >> 1) | ((w & 1) << (m - 1)))
             at += w.shape[0]
+    idx.flags.writeable = False
     return idx
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_successor_index(m: int, n: int) -> np.ndarray:
+    """``_successor_index(m, n)``, built once per (m, n) for small chains."""
+    return _successor_index(m, n)
 
 
 def _survival_vectors(m: int, p: float, n: int, stops, tail: bool = False):
@@ -167,8 +182,9 @@ def _survival_vectors(m: int, p: float, n: int, stops, tail: bool = False):
     C(m - 1, n - 1) success successors, one scaling by q or p and one add
     into the odd block; the tail form adds p to the even block as well.
     """
-    idx = _successor_index(m, n)
     S = math.comb(m, n)
+    build = _cached_successor_index if S <= _CACHED_CHAIN_STATES else _successor_index
+    idx = build(m, n)
     E = math.comb(m - 1, n)
     weight = np.concatenate((np.full(S, 1.0 - p), np.full(S - E, p)))
     size = idx.shape[0]

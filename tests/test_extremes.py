@@ -157,6 +157,17 @@ def test_legacy_scan_bound():
     assert legacy_scan_bound(1.0, 10) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_legacy_bounds_reject_non_finite_arguments(bad):
+    # a NaN fails every comparison, so the range checks alone let it through
+    with pytest.raises(ValueError):
+        legacy_bounds(bad)
+    with pytest.raises(ValueError):
+        legacy_scan_bound(bad, 10)
+    with pytest.raises(ValueError):
+        legacy_scan_bound(0.99, bad)
+
+
 # ------------------------------------------------------------ type checking
 
 
@@ -232,6 +243,14 @@ def test_series_domain():
         c_series_eval(p, 2.0)  # z*sqrt(p1) = 1
     with pytest.raises(ValueError):
         c_series_eval(p, -0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_series_rejects_non_finite_z(bad):
+    # p_1 = 0 leaves z*sqrt(p_1) < 1 for every finite z
+    for p in (geometric_p(0.25), PSequence((1.0, 0.0, 0.0))):
+        with pytest.raises(ValueError):
+            c_series_eval(p, bad)
 
 
 # -------------------------------------------------------------- root solver

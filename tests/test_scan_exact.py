@@ -1,6 +1,8 @@
 """Exact scan engines against closed forms and a test-local enumerator."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -14,7 +16,9 @@ from scanex.scan_exact import (
     MAX_CHAIN_STATES,
     BernoulliScanSpec,
     _budget_words,
+    _cached_successor_index,
     _chain_survival,
+    _successor_index,
     _survival_vectors,
     block_p_sequence,
     block_q_sequence,
@@ -371,3 +375,50 @@ def test_block_capacity():
             block_sequence(0, 0.05, 1, 2)
         with pytest.raises(ValueError, match="p must lie"):
             block_sequence(3, 1.5, 1, 2)
+
+
+# ------------------------------------------------- successor index cache
+
+
+def test_cached_index_is_a_read_only_fresh_build():
+    for m in range(1, 15):
+        for n in range(m):
+            cached = _cached_successor_index(m, n)
+            assert np.array_equal(cached, _successor_index(m, n)), (m, n)
+            assert _cached_successor_index(m, n) is cached
+            with pytest.raises(ValueError):
+                cached[0] = 0
+
+
+def test_one_index_build_per_chain():
+    _cached_successor_index.cache_clear()
+    scan_approximation(9, 0.05, 10, 3, want_exact=True, want_T3=True)
+    scan_approximation(9, 0.3, 4, 3)
+    block_q_sequence(9, 0.05, 3, kmax=8)
+    block_p_sequence(9, 0.05, 3, kmax=8)
+    info = _cached_successor_index.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_large_chains_are_not_cached():
+    # C(18, 6) = 18 564 states, above the 2**14 kept across calls
+    before = _cached_successor_index.cache_info()
+    assert 0.0 < exact_scan_cdf(BernoulliScanSpec(18, 0.05, 40, 6)) < 1.0
+    assert _cached_successor_index.cache_info() == before
+
+
+def test_shared_index_is_thread_safe():
+    specs = [BernoulliScanSpec(m, p, N, n)
+             for m, n in ((12, 5), (10, 3))
+             for p, N in ((0.05, 200), (0.3, 41), (0.6, 120), (0.9, 15))]
+    serial = [exact_scan_cdf(s) for s in specs]
+    _cached_successor_index.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so misses overlap
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(exact_scan_cdf, specs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert _cached_successor_index.cache_info().currsize == 2
