@@ -9,6 +9,13 @@ answers every requested trial count on the way.  A direct enumeration
 over all ``2**N`` outcomes is included as an independent cross-check for
 small ``N``.
 
+The chain is evaluated in one of two ways, chosen from the input.  Stepping
+costs O(N * C(m, n)) time.  A chain of S = C(m, n) <= 256 states that is
+long against its size, S**2 * N.bit_length() <= 400 * N for the largest N
+asked, instead raises its dense (S + 1) x (S + 1) tail operator to the N-th
+power by repeated squaring, in O(S**3 * log N) time; it keeps two powers at
+a time, (S + 1)**2 doubles each.
+
 The block view groups the trials into stretches of length ``m`` and looks
 at ``W_k``, the largest window sum among windows starting inside block
 ``k`` (adjacent blocks share exactly one window).  The ``W_k`` form a
@@ -53,8 +60,17 @@ __all__ = [
 # every n fits up to m = 26, where C(26, 13) = 10 400 600 states take 0.5 GB.
 # The successor index of a chain of at most 2**14 states (at most 256 KiB)
 # is kept across calls, 64 of them at most: 16 MiB retained in all.
+# A chain of S <= 256 states takes binary powers of its dense tail operator
+# when S**2 * N.bit_length() <= 400 * N.  Measured with numpy 2.4.6 and
+# OpenBLAS on 2 CPUs: a step of a small chain costs 1.5-5 us of numpy
+# dispatch whatever S is, and powers win from about 1000 * N at S <= 84 and
+# 400 * N at S = 210, so 400 keeps them to the inputs where they win.  Past
+# 256 states the squarings' S**3 arithmetic, not dispatch, sets their cost,
+# and the powers' 2 (S + 1)**2 doubles would grow with N without bound.
 MAX_CHAIN_STATES = 1 << 24
 _CACHED_CHAIN_STATES = 1 << 14
+_POWER_CHAIN_STATES = 1 << 8
+_POWER_COST = 400
 MAX_BRUTE_N = 22   # enumeration touches 2**N outcomes
 
 
@@ -173,6 +189,14 @@ def _cached_successor_index(m: int, n: int) -> np.ndarray:
     return _successor_index(m, n)
 
 
+def _chain(m: int, p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The successor index of ``_successor_index(m, n)`` and the weight of
+    each entry: q for a failure successor, p for a success successor."""
+    S, E = math.comb(m, n), math.comb(m - 1, n)
+    build = _cached_successor_index if S <= _CACHED_CHAIN_STATES else _successor_index
+    return build(m, n), np.concatenate((np.full(S, 1.0 - p), np.full(S - E, p)))
+
+
 def _survival_vectors(m: int, p: float, n: int, stops, tail: bool = False):
     """Yield u_t over the words of ``_budget_words(m, n)`` at each of the
     ascending ``stops``, as a view of a buffer the next step overwrites;
@@ -182,11 +206,8 @@ def _survival_vectors(m: int, p: float, n: int, stops, tail: bool = False):
     C(m - 1, n - 1) success successors, one scaling by q or p and one add
     into the odd block; the tail form adds p to the even block as well.
     """
-    S = math.comb(m, n)
-    build = _cached_successor_index if S <= _CACHED_CHAIN_STATES else _successor_index
-    idx = build(m, n)
-    E = math.comb(m - 1, n)
-    weight = np.concatenate((np.full(S, 1.0 - p), np.full(S - E, p)))
+    S, E = math.comb(m, n), math.comb(m - 1, n)
+    idx, weight = _chain(m, p, n)
     size = idx.shape[0]
     start = np.zeros(size) if tail else np.ones(size)
     cur, nxt = ((u, u[:E], u[E:S], u[S:]) for u in (start, np.empty(size)))
@@ -205,13 +226,69 @@ def _survival_vectors(m: int, p: float, n: int, stops, tail: bool = False):
         yield cur[0][:S]
 
 
+def _start(m: int, n: int) -> int:
+    """Position of the empty past w0 = (1 << n) - 1, the first odd word."""
+    return math.comb(m - 1, n) if n else 0
+
+
+def _chain_powers(m: int, p: float, n: int, stops) -> list[tuple[float, float]]:
+    """(P(S_m(N) <= n), P(S_m(N) > n)) for each of the ascending ``stops``,
+    from binary powers of the tail operator.
+
+    A is the (S + 1) x (S + 1) matrix of the tail recursion, built from
+    ``_chain``: row w holds q at fail(w), p at succ(w) if w is odd, and p in
+    the last column if w is even; the last row keeps the constant, A[S, S] = 1.
+    Row w0 of A**N then holds v_N(w0) in its last column and the survival
+    operator's row, whose sum is u_N(w0), in the others.  Each stop starts
+    from row w0 of the identity and takes the powers A**(2**j) of its set
+    bits, lowest first, so its value does not depend on the other stops.
+    Every entry is non-negative, so nothing cancels: the survival is
+    1 - v_N(w0) while the tail is at most 1/2, and the row sum beyond.
+    """
+    S, E = math.comb(m, n), math.comb(m - 1, n)
+    idx, weight = _chain(m, p, n)
+    A = np.zeros((S + 1, S + 1))
+    A[np.concatenate((np.arange(S), np.arange(E, S))), idx] = weight
+    A[:E, S] = p
+    A[S, S] = 1.0
+    start = np.zeros(S + 1)
+    start[_start(m, n)] = 1.0
+    rows = [start] * len(stops)
+    for j in range(stops[-1].bit_length()):
+        if j:
+            A = A @ A
+        for i, N in enumerate(stops):
+            if N >> j & 1:
+                rows[i] = rows[i] @ A
+    out = []
+    for r in rows:
+        t = float(r[S])
+        out.append((1.0 - t if t <= 0.5 else float(r[:S].sum()), t))
+    return out
+
+
 def _chain_survival(m: int, p: float, n: int, trials, tail: bool = False) -> tuple[float, ...]:
     """P(S_m(N) <= n) for every N in ``trials``, from one pass of the chain;
     with ``tail``, P(S_m(N) > n), accurate relative to its own size.
 
-    The pass runs to the largest N over the C(m, n) states of the minimal
-    chain, in O(N * C(m, n)) time.  Raises CapacityError past
-    ``MAX_CHAIN_STATES`` states or for words wider than 63 bits.
+    The pass runs to the largest N over the S = C(m, n) states of the
+    minimal chain.  It steps, in O(N * S) time, unless S <= 256 and
+    S**2 * N.bit_length() <= 400 * N (``_POWER_CHAIN_STATES``,
+    ``_POWER_COST``): then ``_chain_powers`` squares the dense tail operator,
+    in O(S**3 * log N) time and 2 (S + 1)**2 doubles.  The largest N picks
+    the engine for every N of the call.
+
+    Both engines sum non-negative terms, so P(S_m(N) > n) and, in the form
+    asked for, P(S_m(N) <= n) keep their own relative precision.  With
+    u = 2**-53, a step adds at most 3 roundings, so stepping is proven
+    within about 3 N u; each squaring of an order S + 1 matrix doubles the
+    error of its factor and adds (S + 1) u, so powers are proven only within
+    about (S + 2) N u.  Measured against 60-digit mpmath (tests/oracles.py)
+    at m in {5, 7, 9, 10}, p in {0.01, 0.05, 0.3, 0.7}, every n < m and
+    N in {m, 3m + 1, 10m, 30m}, powers were within 0.72 N u and stepping
+    within 0.36 N u; at p near 1e-4 powers reach 1.4 N u.  Raises
+    CapacityError past ``MAX_CHAIN_STATES`` states or for words wider than
+    63 bits.
     """
     certain = 0.0 if tail else 1.0  # the value where no window can exceed n
     if n >= m:
@@ -226,9 +303,14 @@ def _chain_survival(m: int, p: float, n: int, trials, tail: bool = False) -> tup
             raise CapacityError(
                 f"chain limited to {MAX_CHAIN_STATES} states; m={m}, n={n} needs {states}"
             )
-        w0 = math.comb(m - 1, n) if n else 0  # (1 << n) - 1, the first odd word
-        vectors = _survival_vectors(m, p, n, stops, tail)
-        at = {N: float(u[w0]) for N, u in zip(stops, vectors)}
+        last = stops[-1]
+        if states <= _POWER_CHAIN_STATES and states**2 * last.bit_length() <= _POWER_COST * last:
+            pairs = _chain_powers(m, p, n, stops)  # (survival, tail) at each stop
+            at = {N: pair[tail] for N, pair in zip(stops, pairs)}
+        else:
+            w0 = _start(m, n)
+            vectors = _survival_vectors(m, p, n, stops, tail)
+            at = {N: float(u[w0]) for N, u in zip(stops, vectors)}
     return tuple(at.get(N, certain) for N in trials)
 
 
@@ -236,10 +318,12 @@ def exact_scan_cdf(spec: BernoulliScanSpec) -> float:
     """P(S_m(N) <= n), exact.
 
     Degenerate inputs resolve to certainty: n >= m (no window can exceed)
-    and N < m (no window exists) both give 1.  The chain holds C(m, n)
-    states, so runtime is O(N * C(m, n)) and memory 32 (1 + n/m) bytes per
-    state.  More than ``MAX_CHAIN_STATES`` states, or m > 63, raises
-    CapacityError.
+    and N < m (no window exists) both give 1.  The chain holds S = C(m, n)
+    states, so stepping takes O(N * S) time and 32 (1 + n/m) bytes per
+    state.  Where S <= 256 and S**2 * N.bit_length() <= 400 * N, binary
+    powers of the dense operator take O(S**3 * log N) time and two powers
+    of (S + 1)**2 doubles instead.  More than ``MAX_CHAIN_STATES`` states,
+    or m > 63, raises CapacityError.
     """
     return _chain_survival(spec.m, spec.p, spec.n, (spec.N,))[0]
 
@@ -284,7 +368,8 @@ def block_p_sequence(m: int, p: float, n: int, kmax: int) -> PSequence:
     One tail pass of the chain over (kmax+1)*m trials gives every
     a_k = 1 - q_k = P(S_m((k+1)m) > n) to its own relative precision, and
     the inverse recursion, run in those complements, turns them into p_k.
-    Time is O((kmax+1) * m * C(m, n)) and the caps are those of the chain.
+    Time is that of one chain pass to N = (kmax+1) * m, at most
+    O(N * C(m, n)), and the caps are those of the chain.
     The p_k are accurate in absolute terms, to some ulp of a_kmax; high-k
     terms below that keep only rounding noise and may come out as tiny
     negative values.

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import joint_block_p, mp_scan_tails
 
 from scanex import pipeline, scan_exact
@@ -17,7 +19,9 @@ from scanex.scan_exact import (
     BernoulliScanSpec,
     _budget_words,
     _cached_successor_index,
+    _chain_powers,
     _chain_survival,
+    _start,
     _successor_index,
     _survival_vectors,
     block_p_sequence,
@@ -409,7 +413,7 @@ def test_large_chains_are_not_cached():
 
 def test_shared_index_is_thread_safe():
     specs = [BernoulliScanSpec(m, p, N, n)
-             for m, n in ((12, 5), (10, 3))
+             for m, n in ((12, 5), (10, 3), (12, 11))
              for p, N in ((0.05, 200), (0.3, 41), (0.6, 120), (0.9, 15))]
     serial = [exact_scan_cdf(s) for s in specs]
     _cached_successor_index.cache_clear()
@@ -421,4 +425,82 @@ def test_shared_index_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert _cached_successor_index.cache_info().currsize == 2
+    assert _cached_successor_index.cache_info().currsize == 3
+
+
+# ------------------------------------------------------ stepping and powers
+
+U = 2.0**-53
+
+
+def stepped(m, p, n, stops, tail):
+    w0 = _start(m, n)
+    return [float(v[w0]) for v in _survival_vectors(m, p, n, stops, tail)]
+
+
+def powered(m, p, n, stops, tail):
+    return [v[tail] for v in _chain_powers(m, p, n, stops)]
+
+
+@st.composite
+def power_chains(draw):
+    m = draw(st.integers(1, 14))
+    n = draw(st.sampled_from([n for n in range(m)
+                              if math.comb(m, n) <= scan_exact._POWER_CHAIN_STATES]))
+    p = draw(st.one_of(st.floats(0.0, 1.0), st.floats(1e-4, 1e-2), st.floats(0.99, 1.0)))
+    return m, p, n, draw(st.integers(m, 600))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(power_chains())
+def test_stepping_and_powers_agree(chain):
+    # both engines sum non-negative terms, so each value, in either form,
+    # keeps its own relative precision down to the smallest normal number
+    m, p, n, N = chain
+    for tail in (True, False):
+        a, = powered(m, p, n, [N], tail)
+        b, = stepped(m, p, n, [N], tail)
+        assert abs(a - b) <= 3 * N * U * b + sys.float_info.min, (tail, a, b)
+
+
+@pytest.mark.parametrize("m, trials", [(5, (5, 16, 50, 150)), (7, (7, 22, 70, 210)),
+                                       (9, (9, 28)), (10, (10, 31))])
+def test_both_engines_against_60_digit_tails(m, trials):
+    # 30m at m = 9 and 10 would take the mpmath oracle half a minute
+    for p in (0.01, 0.05, 0.3, 0.7):
+        for n in range(m):
+            ref = mp_scan_tails(m, p, n, trials)
+            for engine in (stepped, powered):
+                got = engine(m, p, n, trials, True)
+                for N, a, want in zip(trials, got, ref):
+                    assert abs(a - want) <= 3 * N * U * want, (engine.__name__, p, n, N)
+
+
+def engines_run(monkeypatch, m, p, N, n):
+    """Names of the engines that ``exact_scan_cdf`` calls for one spec."""
+    ran = []
+    for name in ("_chain_powers", "_survival_vectors"):
+        def spy(*args, real=getattr(scan_exact, name), name=name):
+            ran.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(scan_exact, name, spy)
+    exact_scan_cdf(BernoulliScanSpec(m, p, N, n))
+    monkeypatch.undo()
+    return ran
+
+
+def test_engine_selection(monkeypatch):
+    # S = 20 over 205 trials squares; C(20, 3) = 1140 states step
+    for n in (1, 19):
+        assert engines_run(monkeypatch, 20, 0.05, 205, n) == ["_chain_powers"]
+    assert engines_run(monkeypatch, 20, 0.05, 205, 3) == ["_survival_vectors"]
+    # S**2 * N.bit_length() against 400 N: 56 states over 80 trials square,
+    # 120 over 160 step; C(10, 5) = 252 and C(8, 4) = 70 step at N = m
+    assert engines_run(monkeypatch, 8, 0.05, 80, 3) == ["_chain_powers"]
+    assert engines_run(monkeypatch, 10, 0.05, 160, 3) == ["_survival_vectors"]
+    assert engines_run(monkeypatch, 10, 0.05, 10, 5) == ["_survival_vectors"]
+    assert engines_run(monkeypatch, 8, 0.05, 8, 4) == ["_survival_vectors"]
+    # C(12, 4) = 495 states step even where the rule alone would square
+    assert 495**2 * (12_000).bit_length() <= scan_exact._POWER_COST * 12_000
+    assert engines_run(monkeypatch, 12, 0.05, 12_000, 4) == ["_survival_vectors"]
