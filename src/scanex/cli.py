@@ -19,6 +19,11 @@ in every format, so its json cells are strings.  Missing values
 (inapplicable bounds) render as an empty csv field, a json null, and a
 minus sign in md.  Exit codes: 0 success, 1 stdout closed by its reader,
 2 invalid input, 3 resource cap exceeded.
+
+numpy loads only in the commands that run the chain or the sampler:
+``scan exact``, ``approx``, ``sandwich``, ``simulate`` and ``tables 3|4``.
+The commands import ``scan_exact`` and ``montecarlo`` where they call them,
+so ``coeffs``, ``lambda``, ``tables 1|2`` and ``--version`` start without it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from dataclasses import asdict
 
 from . import __version__
 from .extremes import CapacityError, PSequence, error_coefficients, solve_lambda
-from .montecarlo import SimulationPlan, simulate_scan_cdf
 from .pipeline import (
     _coeff_cells,
     _report_cells,
@@ -40,7 +44,6 @@ from .pipeline import (
     sandwich,
     scan_approximation,
 )
-from .scan_exact import BernoulliScanSpec, brute_force_scan_cdf, exact_scan_cdf
 
 _MD_DASH = "−"
 
@@ -122,6 +125,8 @@ def _cmd_scan_approx(args) -> dict:
 
 
 def _cmd_scan_exact(args) -> dict:
+    from .scan_exact import BernoulliScanSpec, brute_force_scan_cdf, exact_scan_cdf
+
     spec = BernoulliScanSpec(**_given(args, "m p N n"))
     fn = brute_force_scan_cdf if args.engine == "brute" else exact_scan_cdf
     return {**_given(args, "m p N n engine"), "value": fn(spec),
@@ -150,6 +155,9 @@ def _threads(flag: int | None) -> int:
 
 
 def _cmd_scan_simulate(args) -> dict:
+    from .montecarlo import SimulationPlan, simulate_scan_cdf
+    from .scan_exact import BernoulliScanSpec
+
     threads = _threads(args.threads)
     plan = SimulationPlan(
         spec=BernoulliScanSpec(**_given(args, "m p N n")),

@@ -4,7 +4,9 @@ Ties the exact block computations to the 1-dependent approximation theory:
 ``scan_approximation`` produces the two-term (and optionally four-term)
 approximation of ``P(S_m(Lm) <= n)`` together with the new error bound ``E``
 and the older fixed-constant bound ``EH``; ``sandwich`` brackets a general
-trial count between two exactly computed multiples of ``m``.
+trial count between two exactly computed multiples of ``m``.  Those two
+import the chain of ``scan_exact`` when they run, so the rest of this
+module, tables 1 and 2 included, loads without numpy.
 
 ``reproduce_table`` regenerates the four reference tables shipped with the
 package documentation.  ``_coeff_cells`` and ``_report_cells`` give a
@@ -42,7 +44,6 @@ from .extremes import (
     error_coefficients,
     legacy_scan_bound,
 )
-from .scan_exact import BernoulliScanSpec, _chain_survival
 
 __all__ = [
     "COEFF_TABLE_ALPHAS",
@@ -161,6 +162,8 @@ def scan_approximation(
     and the four-term approximation; ``want_exact`` also reads the exact
     value at L*m trials.  One chain pass yields every block count needed.
     """
+    from .scan_exact import BernoulliScanSpec, _chain_survival
+
     if L < 2:
         raise ValueError("need L >= 2 (at least one complete block)")
     BernoulliScanSpec(m=m, p=p, N=L * m, n=n)  # validates the inputs
@@ -204,6 +207,8 @@ def sandwich(m: int, p: float, N: int, n: int) -> SandwichResult:
     one chain pass; they are exact values, not approximations.  N < m is
     degenerate (no window): both ends are 1.
     """
+    from .scan_exact import BernoulliScanSpec, _chain_survival
+
     spec = BernoulliScanSpec(m=m, p=p, N=N, n=n)  # validates the inputs
     L = spec.N // spec.m
     if L == 0:

@@ -458,6 +458,82 @@ def test_package_exports_every_module_all():
     assert set(EXPORTS_BEFORE) <= set(scanex.__all__)
 
 
+def run_fresh(code, *argv):
+    """Run ``code`` in a fresh interpreter that imports this scanex."""
+    env = dict(os.environ, PYTHONPATH=str(Path(scanex.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# asserts on the package in a fresh interpreter, before and after the first
+# use of a name from a numpy module
+LAZY_EXPORTS = """
+import sys
+import scanex
+assert "numpy" not in sys.modules
+assert set(scanex.__all__) <= set(dir(scanex))
+marker = object()
+scanex.exact_scan_cdf = marker
+names = {}
+exec("from scanex import *", names)
+assert set(scanex.__all__) <= set(names)
+assert names["exact_scan_cdf"] is scanex.exact_scan_cdf is marker
+assert scanex.scan_exact is sys.modules["scanex.scan_exact"]
+assert scanex.block_q_sequence is scanex.scan_exact.block_q_sequence
+assert scanex.montecarlo is sys.modules["scanex.montecarlo"]
+assert set(scanex.__all__) <= set(dir(scanex))
+"""
+
+
+def test_package_loads_numpy_modules_on_first_use():
+    run_fresh(LAZY_EXPORTS)
+
+
+# cli.main with numpy blocked: prints each command's stdout as one json list
+NO_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from scanex import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:  # --version exits from the parser
+            code = e.code
+    assert code == 0, argv
+    return out.getvalue()
+
+outs = [run("coeffs", "--alpha", "0.025"),
+        run("lambda", "--pfile", sys.argv[1], "--alpha", "0.05"),
+        run("scan", "tables", "--which", "1"),
+        run("scan", "tables", "--which", "2"),
+        run("--version")]
+try:
+    run("scan", "exact", "--m", "2", "--p", "0.5", "--N", "3", "--n", "1")
+except ImportError:
+    outs.append("ImportError")
+print(json.dumps(outs))
+"""
+
+
+def test_numpy_free_commands_run_without_numpy(capsys, tmp_path):
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("# geometric, p1 = 0.05\n0.05\n0.0025\n0.000125\n6.25e-6\n\n3.125e-7\n")
+    coeffs, lam, table1, table2, version, blocked = json.loads(
+        run_fresh(NO_NUMPY, str(pfile)))
+    # the same output as in this process, where numpy is loaded
+    assert coeffs == run_main(capsys, "coeffs", "--alpha", "0.025")[1]
+    assert lam == run_main(capsys, "lambda", "--pfile", str(pfile), "--alpha", "0.05")[1]
+    assert table1 == (GOLDEN / "table1.csv").read_text()
+    assert table2 == (GOLDEN / "table2.csv").read_text()
+    assert version.startswith("scanex ")
+    assert blocked == "ImportError"  # the block works: the chain needs numpy
+
+
 # ------------------------------------------------------------ entry points
 
 

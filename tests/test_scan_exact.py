@@ -215,7 +215,6 @@ def test_each_question_is_one_engine_pass(monkeypatch):
         return real(m, p, n, trials)
 
     monkeypatch.setattr(scan_exact, "_chain_survival", counting)
-    monkeypatch.setattr(pipeline, "_chain_survival", counting)
     scan_approximation(9, 0.05, 10, 3, want_exact=True, want_T3=True)
     assert calls == [10 * 9]
     calls.clear()
