@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,9 +40,14 @@ __all__ = [
 _CHUNK_BUDGET = 4_000_000
 
 # p below this draws success times.  Both samplers cost in proportion to
-# reps * N; over m in {4, 10, 20} and n in {0, m/2, m-1} the sparse one was
-# 1.2-3.5x faster at p = 0.2, and the dense one first caught up at p = 0.25
-# (block maxima at n = 0, where every success is a run to mark)
+# reps * N.  Sparse time over dense time with 40 000 reps, on the scan specs
+# (m, N, n) = (4, 40, 0), (4, 40, 2), (10, 100, 0), (10, 100, 5), (20, 200, 3)
+# and on their block maxima at L = 10 (best of 11, three runs):
+#   p = 0.2: 0.31-0.98 (scan), 0.25-1.04 (block; 1.0 at m = 10, n = 0)
+#   p = 0.3: 0.58-1.20 and 0.47-1.56; dense wins at m = 10, n = 0 and m = 20
+#   p = 0.5: 1.21-2.28 and 1.08-2.78; dense wins everywhere
+# So the crossover lies between 0.2 and 0.5, lower where n is small.  Moving
+# the threshold changes which sampler runs, and so the estimates there.
 _SPARSE_BELOW = 0.2
 
 
@@ -107,59 +113,100 @@ def _window_sums(bits: np.ndarray, m: int) -> np.ndarray:
     return wins
 
 
-def _success_times(rng: np.random.Generator, trials: int, p: float) -> np.ndarray:
+class _Workspace:
+    """One worker's buffers for the sparse sampler, reused by every chunk,
+    round and stream it draws: the float64 draws, the int64 success
+    positions, and the int64 gaps and bool mask of ``_runs``.  The four
+    share one capacity, which only grows: to the first chunk's draws, and
+    again on a rare extra round.  A workspace lives for one call and serves
+    one thread."""
+
+    def __init__(self) -> None:
+        self.draws = np.empty(0)
+        self.times = np.empty(0, dtype=np.int64)
+        self.gaps = np.empty(0, dtype=np.int64)
+        self.close = np.empty(0, dtype=bool)
+
+    def reserve(self, size: int, keep: int = 0) -> None:
+        """Room for ``size`` items in every buffer, keeping the first
+        ``keep`` draws."""
+        if size <= len(self.draws):
+            return
+        draws = np.empty(size)
+        draws[:keep] = self.draws[:keep]
+        self.draws = draws
+        self.times = np.empty(size, dtype=np.int64)
+        self.gaps = np.empty(size, dtype=np.int64)
+        self.close = np.empty(size, dtype=bool)
+
+
+def _success_times(rng: np.random.Generator, trials: int, p: float,
+                   ws: _Workspace) -> np.ndarray:
     """Sorted 0-based success positions among ``trials`` Bernoulli(p) trials.
 
     The gap to the next success, floor(E / -log1p(-p)) + 1 for a standard
     exponential E, is geometric on 1, 2, ...  Each round draws the expected
     number of remaining successes plus a margin, until the positions pass
-    the end.
+    the end.  The rounds fill ``ws.draws`` one after another, and the
+    positions are a view of ``ws.times``, valid until the workspace's next
+    use.  So the buffers hold one chunk's draws, about 4e6*p floats plus
+    the margin, and grow only on an extra round.
     """
     if p == 0.0:
         return np.empty(0, dtype=np.int64)
     scale = -1.0 / np.log1p(-p)
-    parts, last = [], -1.0
+    used, last = 0, -1.0
     while last < trials:
         need = (trials - last) * p
-        t = rng.standard_exponential(int(need + 4.0 * need ** 0.5) + 16)
+        size = int(need + 4.0 * need ** 0.5) + 16
+        ws.reserve(used + size, keep=used)
+        t = rng.standard_exponential(out=ws.draws[used:used + size])
         t *= scale
         np.floor(t, out=t)
         t += 1.0
         np.cumsum(t, out=t)
         t += last
-        parts.append(t)
+        used += size
         last = t[-1]
-    t = np.concatenate(parts)
+    t = ws.draws[:used]
+    times = ws.times[:np.searchsorted(t, trials)]
     # float positions below 2**53 are exact integers
-    return t[:np.searchsorted(t, trials)].astype(np.int64)
+    np.copyto(times, t[:len(times)], casting="unsafe")
+    return times
 
 
 def _sum_over_chunks(rng: np.random.Generator, reps: int, N: int, p: float,
-                     dense, sparse):
+                     ws: _Workspace, dense, sparse):
     """Sum over the chunks of ``reps`` replicates of N trials, drawn in order
     in chunks of at most ``_CHUNK_BUDGET`` trials, of ``dense(bits)`` on the
     chunk's 0/1 matrix, or below ``_SPARSE_BELOW`` of ``sparse(t, rows)`` on
-    its row-major success positions.  Each chunk is dropped before the next
-    is drawn; a fresh start at each chunk is exact, as the gaps are
+    its row-major success positions.  Sparse chunks draw into ``ws``: its
+    caller's worker holds one chunk's buffers, about 4e6*p floats plus the
+    margin, for all its chunks and streams, and drops them when the call
+    returns.  A fresh start at each chunk is exact, as the gaps are
     memoryless."""
     rows_cap = max(1, _CHUNK_BUDGET // N)
     total = 0
     for done in range(0, reps, rows_cap):
         rows = min(rows_cap, reps - done)
         if p < _SPARSE_BELOW:
-            total += sparse(_success_times(rng, rows * N, p), rows)
+            total += sparse(_success_times(rng, rows * N, p, ws), rows)
         else:
             total += dense(rng.random((rows, N)) < p)
     return total
 
 
-def _runs(t: np.ndarray, N: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _runs(t: np.ndarray, N: int, m: int, n: int,
+          ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Positions a = t[i], b = t[i+n] of every n+1 consecutive successes that
     span fewer than m trials inside one replicate of N trials (the one at
     row b // N); windows of m trials start in that row at
-    [max(b-m+1, 0), min(a, N-m)], local positions."""
+    [max(b-m+1, 0), min(a, N-m)], local positions.  b - a and its test
+    against m go into the buffers of ``ws``."""
+    ws.reserve(len(t))
     a, b = t[:max(len(t) - n, 0)], t[n:]
-    close = b - a < m
+    gaps = np.subtract(b, a, out=ws.gaps[:len(a)])
+    close = np.less(gaps, m, out=ws.close[:len(a)])
     a, b = a[close], b[close]
     within = b - a <= b % N
     return a[within], b[within]
@@ -170,9 +217,10 @@ def _scan_hits_dense(bits: np.ndarray, m: int, n: int) -> int:
     return int((_window_sums(bits, m).max(axis=1) <= n).sum())
 
 
-def _scan_hits_sparse(t: np.ndarray, rows: int, N: int, m: int, n: int) -> int:
+def _scan_hits_sparse(t: np.ndarray, rows: int, N: int, m: int, n: int,
+                      ws: _Workspace) -> int:
     """Rows holding no run of n+1 successes within m trials."""
-    row = _runs(t, N, m, n)[1] // N
+    row = _runs(t, N, m, n, ws)[1] // N
     return rows - (int(np.count_nonzero(np.diff(row))) + 1 if len(row) else 0)
 
 
@@ -184,12 +232,13 @@ def _block_above_dense(bits: np.ndarray, m: int, n: int, K: int) -> np.ndarray:
     return W > n
 
 
-def _block_above_sparse(t: np.ndarray, rows: int, m: int, n: int, K: int) -> np.ndarray:
+def _block_above_sparse(t: np.ndarray, rows: int, m: int, n: int, K: int,
+                        ws: _Workspace) -> np.ndarray:
     """``_block_above_dense`` from the success positions of rows of (K+1)m
     trials.  The window starts of one run span at most m positions, so they
     meet at most two blocks: the first and the last block they reach."""
     N = (K + 1) * m
-    a, b = _runs(t, N, m, n)
+    a, b = _runs(t, N, m, n, ws)
     row = b // N
     lo = np.maximum(b - row * N - m + 1, 0)
     hi = np.minimum(a - row * N, N - m)
@@ -211,13 +260,17 @@ def _block_tails(above: np.ndarray) -> np.ndarray:
     return hits
 
 
-def _count_stream(spec: BernoulliScanSpec, reps: int, seed: int, stream: int) -> int:
+def _count_streams(spec: BernoulliScanSpec, seed: int,
+                   group: list[tuple[int, int]]) -> int:
+    """Rows with S <= n over the (stream, reps) pairs of ``group``, drawn in
+    turn by one worker into one workspace."""
     m, n, N = spec.m, spec.n, spec.N
-    return _sum_over_chunks(
-        _rng(seed, stream), reps, N, spec.p,
+    ws = _Workspace()
+    return sum(_sum_over_chunks(
+        _rng(seed, stream), reps, N, spec.p, ws,
         lambda bits: _scan_hits_dense(bits, m, n),
-        lambda t, rows: _scan_hits_sparse(t, rows, N, m, n),
-    )
+        lambda t, rows: _scan_hits_sparse(t, rows, N, m, n, ws),
+    ) for stream, reps in group)
 
 
 def simulate_scan_cdf(plan: SimulationPlan, threads: int = 1) -> MCEstimate:
@@ -225,6 +278,7 @@ def simulate_scan_cdf(plan: SimulationPlan, threads: int = 1) -> MCEstimate:
 
     ``threads`` only parallelises the streams; outputs are identical for
     any thread count, and the pool never exceeds the streams or the CPUs.
+    Each worker runs a contiguous group of streams with one workspace.
     Degenerate specs (no window, or threshold at or above m) short-circuit
     to certainty.
     """
@@ -234,13 +288,15 @@ def simulate_scan_cdf(plan: SimulationPlan, threads: int = 1) -> MCEstimate:
     if spec.n >= spec.m or spec.N < spec.m:
         return MCEstimate(estimate=1.0, half_width_95=0.0, reps=plan.reps)
     parts = _stream_reps(plan.reps, plan.stream_count)
-    jobs = [(spec, r, plan.seed, i) for i, r in enumerate(parts) if r > 0]
+    jobs = [(i, r) for i, r in enumerate(parts) if r > 0]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
+    sizes = _stream_reps(len(jobs), workers)
+    groups = [jobs[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(lambda j: _count_stream(*j), jobs))
+            hits = sum(pool.map(lambda g: _count_streams(spec, plan.seed, g), groups))
     else:
-        hits = sum(_count_stream(*j) for j in jobs)
+        hits = _count_streams(spec, plan.seed, jobs)
     est = hits / plan.reps
     half = 1.96 * np.sqrt(est * (1.0 - est) / plan.reps)
     return MCEstimate(estimate=est, half_width_95=float(half), reps=plan.reps)
@@ -262,10 +318,11 @@ def simulate_block_sequence(
         raise ValueError("reps must be at least 1")
     _check_seed(seed)
     m, n, K = spec.m, spec.n, L - 1
+    ws = _Workspace()
     q_hits, p_hits = _sum_over_chunks(
-        _rng(seed, 0), reps, L * m, spec.p,
+        _rng(seed, 0), reps, L * m, spec.p, ws,
         lambda bits: _block_tails(_block_above_dense(bits, m, n, K)),
-        lambda t, rows: _block_tails(_block_above_sparse(t, rows, m, n, K)),
+        lambda t, rows: _block_tails(_block_above_sparse(t, rows, m, n, K, ws)),
     )
     return BlockSample(
         q_hat=tuple(float(h) / reps for h in q_hits),

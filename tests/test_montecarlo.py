@@ -4,6 +4,10 @@ Inputs with p >= 0.2 run the dense sampler and inputs below it the sparse
 one; tests that pin determinism or a law take one input of each.
 """
 
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -247,17 +251,18 @@ def _oracle_matrices(rng, N):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_sparse_counters_equal_dense_counters(m):
     rng = np.random.default_rng(2024 + m)
+    ws = montecarlo._Workspace()
     for N in sorted({m, m + 1, 3 * m + 2}):
         for bits in _oracle_matrices(rng, N):
             t = np.flatnonzero(bits)
             for n in range(m + 2):
-                assert (montecarlo._scan_hits_sparse(t, len(bits), N, m, n)
+                assert (montecarlo._scan_hits_sparse(t, len(bits), N, m, n, ws)
                         == montecarlo._scan_hits_dense(bits, m, n))
     for L in (2, 3, 5):
         for bits in _oracle_matrices(rng, L * m):
             t = np.flatnonzero(bits)
             for n in range(m + 2):
-                sparse = montecarlo._block_above_sparse(t, len(bits), m, n, L - 1)
+                sparse = montecarlo._block_above_sparse(t, len(bits), m, n, L - 1, ws)
                 dense = montecarlo._block_above_dense(bits, m, n, L - 1)
                 assert (sparse == dense).all()
                 tails = [np.logical_and.accumulate(b, axis=0).sum(axis=1)
@@ -268,9 +273,9 @@ def test_sparse_counters_equal_dense_counters(m):
 def test_success_times_are_bernoulli_trials():
     # positions are sorted, distinct and inside the trials, and their count
     # and spacing match Bernoulli(p) trials
-    rng = montecarlo._rng(77, 0)
+    rng, ws = montecarlo._rng(77, 0), montecarlo._Workspace()
     trials, p = 2_000_000, 0.01
-    t = montecarlo._success_times(rng, trials, p)
+    t = montecarlo._success_times(rng, trials, p, ws)
     assert t.dtype == np.int64 and t[0] >= 0 and t[-1] < trials
     assert (np.diff(t) > 0).all()
     assert abs(len(t) - trials * p) <= 4 * np.sqrt(trials * p * (1 - p))
@@ -278,7 +283,190 @@ def test_success_times_are_bernoulli_trials():
     gaps = np.diff(t)
     for share, prob in (((gaps == 1).mean(), p), ((gaps > 100).mean(), (1 - p) ** 100)):
         assert abs(share - prob) <= 4 * np.sqrt(prob * (1 - prob) / len(gaps))
-    assert len(montecarlo._success_times(rng, trials, 0.0)) == 0
+    assert len(montecarlo._success_times(rng, trials, 0.0, ws)) == 0
+
+
+def _unbuffered_success_times(rng, trials, p):
+    # the sampler before it drew into a workspace: fresh arrays every round,
+    # joined and cast by copy
+    if p == 0.0:
+        return np.empty(0, dtype=np.int64)
+    scale = -1.0 / np.log1p(-p)
+    parts, last = [], -1.0
+    while last < trials:
+        need = (trials - last) * p
+        t = rng.standard_exponential(int(need + 4.0 * need ** 0.5) + 16)
+        t *= scale
+        np.floor(t, out=t)
+        t += 1.0
+        np.cumsum(t, out=t)
+        t += last
+        parts.append(t)
+        last = t[-1]
+    t = np.concatenate(parts)
+    return t[:np.searchsorted(t, trials)].astype(np.int64)
+
+
+def _unbuffered_runs(t, N, m, n):
+    a, b = t[:max(len(t) - n, 0)], t[n:]
+    close = b - a < m
+    a, b = a[close], b[close]
+    within = b - a <= b % N
+    return a[within], b[within]
+
+
+def _unbuffered_chunks(spec, reps, N, seed, stream):
+    # (positions, run starts, run ends) of each chunk of one stream
+    rng = montecarlo._rng(seed, stream)
+    rows_cap = max(1, montecarlo._CHUNK_BUDGET // N)
+    for done in range(0, reps, rows_cap):
+        t = _unbuffered_success_times(rng, min(rows_cap, reps - done) * N, spec.p)
+        yield (t, *_unbuffered_runs(t, N, spec.m, spec.n))
+
+
+def _record_runs(monkeypatch):
+    # keep a copy of each chunk's positions and of the run pairs that the
+    # sampler finds in them with its workspace
+    seen, runs = [], montecarlo._runs
+
+    def record(t, N, m, n, ws):
+        assert isinstance(ws, montecarlo._Workspace)
+        a, b = runs(t, N, m, n, ws)
+        seen.append((t.copy(), a.copy(), b.copy()))
+        return a, b
+
+    monkeypatch.setattr(montecarlo, "_runs", record)
+    return seen
+
+
+def _chunk_keys(chunks):
+    # equal keys of int64 vectors mean equal elements
+    assert all(x.dtype == np.int64 for chunk in chunks for x in chunk)
+    return [tuple(x.tobytes() for x in chunk) for chunk in chunks]
+
+
+def test_buffered_sampler_equals_unbuffered(monkeypatch):
+    # positions and run pairs equal, element for element, those of fresh
+    # arrays joined by concatenate and cast by astype: over several chunks
+    # of one stream, several streams at 1, 2 and 3 threads, and the chunks
+    # of a block sample; the reference lives here, so this holds at any numpy
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    spec = BernoulliScanSpec(4, SPARSE_P, 50, 1)
+    cap = montecarlo._CHUNK_BUDGET // spec.N
+    for streams, reps in ((1, 3 * cap + 17), (5, 2 * cap * 5 + 3)):
+        plan = SimulationPlan(spec, reps=reps, seed=9, stream_count=streams)
+        want = [chunk for stream, r in enumerate(montecarlo._stream_reps(reps, streams))
+                for chunk in _unbuffered_chunks(spec, r, spec.N, 9, stream)]
+        assert len(want) >= 2 * streams + 1
+        for threads in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                seen = _record_runs(patch)
+                simulate_scan_cdf(plan, threads=threads)
+            assert sorted(_chunk_keys(seen)) == sorted(_chunk_keys(want))
+    m, n, L = 3, 0, 5
+    spec = BernoulliScanSpec(m, SPARSE_P, L * m, n)
+    reps = 2 * (montecarlo._CHUNK_BUDGET // (L * m)) + 5
+    with monkeypatch.context() as patch:
+        seen = _record_runs(patch)
+        simulate_block_sequence(spec, L=L, reps=reps, seed=31)
+    want = list(_unbuffered_chunks(spec, reps, L * m, 31, 0))
+    assert len(want) == 3
+    assert _chunk_keys(seen) == _chunk_keys(want)
+
+
+class _ShortFirstRound:
+    """A Philox stream whose first round of draws is halved, so that its
+    positions fall short of the end and the sampler needs a second round."""
+
+    def __init__(self, seed):
+        self.rng, self.rounds = montecarlo._rng(seed, 0), 0
+
+    def standard_exponential(self, size=None, out=None):
+        t = self.rng.standard_exponential(size, out=out)
+        if self.rounds == 0:
+            t *= 0.5
+        self.rounds += 1
+        return t
+
+
+def test_workspace_grows_on_an_extra_round():
+    # an undersized workspace and a forced extra round: the buffers grow,
+    # keep the first round's draws, and serve a smaller chunk after
+    ws = montecarlo._Workspace()
+    ws.reserve(5)
+    for trials, p in ((10_000, 0.05), (400_000, SPARSE_P), (1_000, 0.15)):
+        got_rng, want_rng = _ShortFirstRound(trials), _ShortFirstRound(trials)
+        t = montecarlo._success_times(got_rng, trials, p, ws)
+        want = _unbuffered_success_times(want_rng, trials, p)
+        assert got_rng.rounds == want_rng.rounds >= 2
+        assert t.dtype == np.int64 and (t == want).all() and len(t) == len(want)
+        for m, n in ((5, 1), (20, 2)):
+            for got, ref in zip(montecarlo._runs(t, 100, m, n, ws),
+                                _unbuffered_runs(want, 100, m, n)):
+                assert len(got) == len(ref) and (got == ref).all()
+    assert len(ws.draws) >= 400_000 * SPARSE_P
+
+
+def test_workspace_lives_for_one_call(monkeypatch):
+    # each worker makes one workspace, uses it in one thread only, and none
+    # outlives the call
+    made, users = [], {}
+
+    class Recorded(montecarlo._Workspace):
+        def __init__(self):
+            super().__init__()
+            self.index = len(made)
+            made.append(weakref.ref(self))
+
+        def reserve(self, size, keep=0):
+            users.setdefault(self.index, set()).add(threading.get_ident())
+            super().reserve(size, keep)
+
+    per_worker = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            self.size = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, groups):
+            groups = list(groups)
+            assert len(groups) == self.size
+            hits = []
+            for group in groups:
+                before = len(made)
+                hits.append(fn(group))
+                per_worker.append(len(made) - before)
+            return hits
+
+    monkeypatch.setattr(montecarlo, "_Workspace", Recorded)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    spec = BernoulliScanSpec(4, SPARSE_P, 50, 1)
+    plan = SimulationPlan(spec, reps=200_000, seed=3, stream_count=7)
+    base = simulate_scan_cdf(plan)
+    assert len(made) == 1
+    for threads in (2, 3):
+        made.clear()
+        users.clear()
+        est = simulate_scan_cdf(plan, threads=threads)
+        assert est == base and len(made) == len(users) == threads
+        assert all(len(u) == 1 for u in users.values())
+        gc.collect()
+        assert all(ref() is None for ref in made)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Inline)
+    made.clear()
+    assert simulate_scan_cdf(plan, threads=3) == base
+    assert per_worker == [1, 1, 1] and len(made) == 3
+    assert all(ref() is None for ref in made)
+    made.clear()
+    simulate_block_sequence(BernoulliScanSpec(3, SPARSE_P, 15, 0), L=5, reps=600_000,
+                            seed=2)
+    assert len(made) == 1 and made[0]() is None
 
 
 def test_blocks_separated_by_one_are_uncorrelated():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import joint_block_p, mp_scan_tails
 
-from scanex import pipeline, scan_exact
+from scanex import scan_exact
 from scanex.extremes import CapacityError, PSequence, qn_from_p
 from scanex.pipeline import format_probability, sandwich, scan_approximation
 from scanex.scan_exact import (
