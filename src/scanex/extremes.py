@@ -114,13 +114,10 @@ class ErrorCoefficients:
 class PSequence:
     """Exceedance run probabilities p_0 = 1 >= p_1 >= ... >= p_K >= 0.
 
-    ``values[k]`` is ``p_k``.  An optional ``context_alpha`` records the
-    level parameter the sequence was built for; when present it must
-    dominate ``p_1`` and stay within the supported range.
+    ``values[k]`` is ``p_k``.
     """
 
     values: tuple[float, ...]
-    context_alpha: float | None = None
 
     def __post_init__(self) -> None:
         v = self.values
@@ -137,10 +134,6 @@ class PSequence:
         for k in range(2, len(v)):
             if v[k] > p1 ** ((k + 1) // 2) + _SLACK:
                 raise ValueError(f"p_{k} violates the 1-dependent envelope")
-        if self.context_alpha is not None:
-            if not (p1 <= self.context_alpha + _SLACK
-                    and self.context_alpha <= ALPHA_MAX + _SLACK):
-                raise ValueError("context_alpha must satisfy p_1 <= alpha <= 0.1")
 
     @property
     def order(self) -> int:

@@ -51,11 +51,6 @@ _CHUNK_BUDGET = 4_000_000
 _SPARSE_BELOW = 0.2
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 1 << 64:
-        raise ValueError("seed must lie in [0, 2**64)")
-
-
 @dataclass(frozen=True)
 class SimulationPlan:
     spec: BernoulliScanSpec
@@ -66,7 +61,8 @@ class SimulationPlan:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        _check_seed(self.seed)
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must lie in [0, 2**64)")
         if self.stream_count < 1:
             raise ValueError("stream_count must be at least 1")
 
@@ -91,8 +87,10 @@ class BlockSample:
 
 
 def _stream_reps(reps: int, streams: int) -> list[int]:
+    """Replicates per stream, the first ones taking one more; only the
+    min(streams, reps) streams that draw are listed."""
     base, rem = divmod(reps, streams)
-    return [base + (1 if i < rem else 0) for i in range(streams)]
+    return [base + (1 if i < rem else 0) for i in range(min(streams, reps))]
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -115,16 +113,15 @@ def _window_sums(bits: np.ndarray, m: int) -> np.ndarray:
 
 class _Workspace:
     """One worker's buffers for the sparse sampler, reused by every chunk,
-    round and stream it draws: the float64 draws, the int64 success
-    positions, and the int64 gaps and bool mask of ``_runs``.  The four
-    share one capacity, which only grows: to the first chunk's draws, and
-    again on a rare extra round.  A workspace lives for one call and serves
-    one thread."""
+    round and stream it draws: the float64 draws, which end as the success
+    positions, and the float64 gaps and bool mask of ``_runs``, 17 bytes
+    per draw.  The three share one capacity, which only grows: to the first
+    chunk's draws, and again on a rare extra round.  A workspace lives for
+    one call and serves one thread."""
 
     def __init__(self) -> None:
         self.draws = np.empty(0)
-        self.times = np.empty(0, dtype=np.int64)
-        self.gaps = np.empty(0, dtype=np.int64)
+        self.gaps = np.empty(0)
         self.close = np.empty(0, dtype=bool)
 
     def reserve(self, size: int, keep: int = 0) -> None:
@@ -135,25 +132,25 @@ class _Workspace:
         draws = np.empty(size)
         draws[:keep] = self.draws[:keep]
         self.draws = draws
-        self.times = np.empty(size, dtype=np.int64)
-        self.gaps = np.empty(size, dtype=np.int64)
+        self.gaps = np.empty(size)
         self.close = np.empty(size, dtype=bool)
 
 
 def _success_times(rng: np.random.Generator, trials: int, p: float,
                    ws: _Workspace) -> np.ndarray:
-    """Sorted 0-based success positions among ``trials`` Bernoulli(p) trials.
+    """Sorted 0-based success positions among ``trials`` Bernoulli(p) trials,
+    as float64 integers (exact below 2**53).
 
     The gap to the next success, floor(E / -log1p(-p)) + 1 for a standard
     exponential E, is geometric on 1, 2, ...  Each round draws the expected
     number of remaining successes plus a margin, until the positions pass
     the end.  The rounds fill ``ws.draws`` one after another, and the
-    positions are a view of ``ws.times``, valid until the workspace's next
+    positions are the head of it, a view valid until the workspace's next
     use.  So the buffers hold one chunk's draws, about 4e6*p floats plus
     the margin, and grow only on an extra round.
     """
     if p == 0.0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0)
     scale = -1.0 / np.log1p(-p)
     used, last = 0, -1.0
     while last < trials:
@@ -169,10 +166,7 @@ def _success_times(rng: np.random.Generator, trials: int, p: float,
         used += size
         last = t[-1]
     t = ws.draws[:used]
-    times = ws.times[:np.searchsorted(t, trials)]
-    # float positions below 2**53 are exact integers
-    np.copyto(times, t[:len(times)], casting="unsafe")
-    return times
+    return t[:np.searchsorted(t, trials)]
 
 
 def _sum_over_chunks(rng: np.random.Generator, reps: int, N: int, p: float,
@@ -198,16 +192,17 @@ def _sum_over_chunks(rng: np.random.Generator, reps: int, N: int, p: float,
 
 def _runs(t: np.ndarray, N: int, m: int, n: int,
           ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Positions a = t[i], b = t[i+n] of every n+1 consecutive successes that
-    span fewer than m trials inside one replicate of N trials (the one at
-    row b // N); windows of m trials start in that row at
-    [max(b-m+1, 0), min(a, N-m)], local positions.  b - a and its test
-    against m go into the buffers of ``ws``."""
+    """Positions a = t[i], b = t[i+n], as int64, of every n+1 consecutive
+    successes that span fewer than m trials inside one replicate of N
+    trials (the one at row b // N); windows of m trials start in that row
+    at [max(b-m+1, 0), min(a, N-m)], local positions.  b - a, exact in
+    float64 for integer positions, and its test against m go into the
+    buffers of ``ws``; only the close pairs are cast."""
     ws.reserve(len(t))
     a, b = t[:max(len(t) - n, 0)], t[n:]
     gaps = np.subtract(b, a, out=ws.gaps[:len(a)])
     close = np.less(gaps, m, out=ws.close[:len(a)])
-    a, b = a[close], b[close]
+    a, b = a[close].astype(np.int64), b[close].astype(np.int64)
     within = b - a <= b % N
     return a[within], b[within]
 
@@ -287,8 +282,7 @@ def simulate_scan_cdf(plan: SimulationPlan, threads: int = 1) -> MCEstimate:
     spec = plan.spec
     if spec.n >= spec.m or spec.N < spec.m:
         return MCEstimate(estimate=1.0, half_width_95=0.0, reps=plan.reps)
-    parts = _stream_reps(plan.reps, plan.stream_count)
-    jobs = [(i, r) for i, r in enumerate(parts) if r > 0]
+    jobs = list(enumerate(_stream_reps(plan.reps, plan.stream_count)))
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     sizes = _stream_reps(len(jobs), workers)
     groups = [jobs[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
@@ -314,9 +308,7 @@ def simulate_block_sequence(
     """
     if L < 2:
         raise ValueError("need L >= 2 for at least one block maximum")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    _check_seed(seed)
+    SimulationPlan(spec, reps, seed)  # checks reps and seed
     m, n, K = spec.m, spec.n, L - 1
     ws = _Workspace()
     q_hits, p_hits = _sum_over_chunks(

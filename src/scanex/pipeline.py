@@ -37,8 +37,6 @@ from decimal import ROUND_DOWN, Decimal
 from .extremes import (
     ErrorCoefficients,
     Inapplicable,
-    T3Approx,
-    T4Approx,
     approx_qn_T3,
     approx_qn_T4,
     error_coefficients,
@@ -176,26 +174,19 @@ def scan_approximation(
     if want_T3:
         q3, q4 = cdf[4], cdf[5]
 
-    t4 = approx_qn_T4(q1, q2, L - 1, min(alpha, 0.1))
-    if isinstance(t4, Inapplicable):
-        return ScanReport(
-            m=m, p=p, L=L, n=n, q1=q1, q2=q2, alpha_used=alpha,
-            approx_T4=None, E=None, EH=None, exact=exact,
-            q3=q3, q4=q4, range_exceeded=True,
-        )
-    assert isinstance(t4, T4Approx)
+    # beyond 1 - q1 = 0.1 both approximants are Inapplicable, and so is the
+    # older bound, whose range ends at 0.025
+    t4 = approx_qn_T4(q1, q2, L - 1, alpha)
+    fits = not isinstance(t4, Inapplicable)
+    t3 = approx_qn_T3(q1, q2, q3, q4, L - 1, alpha) if fits and want_T3 else None
     eh = legacy_scan_bound(q1, L)
-    approx_t3 = e_t3 = None
-    if want_T3:
-        t3 = approx_qn_T3(q1, q2, q3, q4, L - 1, alpha)
-        assert isinstance(t3, T3Approx)
-        approx_t3, e_t3 = t3.value, t3.delta1
     return ScanReport(
         m=m, p=p, L=L, n=n, q1=q1, q2=q2, alpha_used=alpha,
-        approx_T4=t4.value, E=t4.delta2,
+        approx_T4=t4.value if fits else None, E=t4.delta2 if fits else None,
         EH=None if isinstance(eh, Inapplicable) else eh,
         exact=exact, q3=q3, q4=q4,
-        approx_T3=approx_t3, E_T3=e_t3,
+        approx_T3=t3.value if t3 else None, E_T3=t3.delta1 if t3 else None,
+        range_exceeded=not fits,
     )
 
 

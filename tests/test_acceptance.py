@@ -174,7 +174,7 @@ def test_criterion_6_bound_envelopes():
     start = time.perf_counter()
     checks = 0
     for p1 in (0.01, 0.025, 0.05, 0.1):
-        p = PSequence(tuple(p1**k for k in range(15)), context_alpha=p1)
+        p = PSequence(tuple(p1**k for k in range(15)))
         co = error_coefficients(p1)
         r = solve_lambda(p, p1)
         lam = 1.0 / (1.0 - p1)

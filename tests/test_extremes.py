@@ -178,11 +178,7 @@ def test_p_sequence_validation():
         PSequence((1.0, 0.05, 0.06))  # not monotone
     with pytest.raises(ValueError):
         PSequence((1.0, 0.05, 0.05, 0.05))  # violates p_3 <= p_1**2
-    with pytest.raises(ValueError):
-        PSequence((1.0, 0.05), context_alpha=0.01)  # alpha below p_1
-    with pytest.raises(ValueError):
-        PSequence((1.0, 0.05), context_alpha=0.2)  # alpha beyond range
-    p = PSequence((1.0, 0.05, 0.0025), context_alpha=0.05)
+    p = PSequence((1.0, 0.05, 0.0025))
     assert p.order == 2 and p.p1 == 0.05 and p.p(2) == 0.0025
 
 

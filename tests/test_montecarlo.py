@@ -90,6 +90,17 @@ def test_thread_pool_is_bounded(monkeypatch):
             assert est == base
 
 
+def test_only_streams_that_draw_are_listed():
+    # streams beyond reps draw nothing, so they are not listed, and a plan
+    # with more of them than any loop could visit runs as fast as its reps
+    assert montecarlo._stream_reps(10, 10**6) == [1] * 10
+    assert montecarlo._stream_reps(10, 4) == [3, 3, 2, 2]
+    spec = BernoulliScanSpec(5, SPARSE_P, 20, 1)
+    many, few = (simulate_scan_cdf(SimulationPlan(spec, reps=10, seed=1, stream_count=s),
+                                   threads=2) for s in (10**12, 10))
+    assert many == few
+
+
 def test_bit_identical_reruns():
     for p in (0.5, SPARSE_P):
         plan = SimulationPlan(BernoulliScanSpec(3, p, 20, 2), reps=50_000, seed=42,
@@ -252,22 +263,23 @@ def _oracle_matrices(rng, N):
 def test_sparse_counters_equal_dense_counters(m):
     rng = np.random.default_rng(2024 + m)
     ws = montecarlo._Workspace()
+    # positions as int64 and as the float64 integers that the sampler draws
     for N in sorted({m, m + 1, 3 * m + 2}):
         for bits in _oracle_matrices(rng, N):
-            t = np.flatnonzero(bits)
-            for n in range(m + 2):
-                assert (montecarlo._scan_hits_sparse(t, len(bits), N, m, n, ws)
-                        == montecarlo._scan_hits_dense(bits, m, n))
+            for t in (np.flatnonzero(bits), np.flatnonzero(bits).astype(float)):
+                for n in range(m + 2):
+                    assert (montecarlo._scan_hits_sparse(t, len(bits), N, m, n, ws)
+                            == montecarlo._scan_hits_dense(bits, m, n))
     for L in (2, 3, 5):
         for bits in _oracle_matrices(rng, L * m):
-            t = np.flatnonzero(bits)
-            for n in range(m + 2):
-                sparse = montecarlo._block_above_sparse(t, len(bits), m, n, L - 1, ws)
-                dense = montecarlo._block_above_dense(bits, m, n, L - 1)
-                assert (sparse == dense).all()
-                tails = [np.logical_and.accumulate(b, axis=0).sum(axis=1)
-                         for b in (~dense, dense)]
-                assert (montecarlo._block_tails(dense) == tails).all()
+            for t in (np.flatnonzero(bits), np.flatnonzero(bits).astype(float)):
+                for n in range(m + 2):
+                    sparse = montecarlo._block_above_sparse(t, len(bits), m, n, L - 1, ws)
+                    dense = montecarlo._block_above_dense(bits, m, n, L - 1)
+                    assert (sparse == dense).all()
+                    tails = [np.logical_and.accumulate(b, axis=0).sum(axis=1)
+                             for b in (~dense, dense)]
+                    assert (montecarlo._block_tails(dense) == tails).all()
 
 
 def test_success_times_are_bernoulli_trials():
@@ -276,7 +288,7 @@ def test_success_times_are_bernoulli_trials():
     rng, ws = montecarlo._rng(77, 0), montecarlo._Workspace()
     trials, p = 2_000_000, 0.01
     t = montecarlo._success_times(rng, trials, p, ws)
-    assert t.dtype == np.int64 and t[0] >= 0 and t[-1] < trials
+    assert _float_integers(t) and t[0] >= 0 and t[-1] < trials
     assert (np.diff(t) > 0).all()
     assert abs(len(t) - trials * p) <= 4 * np.sqrt(trials * p * (1 - p))
     # P(gap = 1) = p and P(gap > 100) = (1 - p)^100
@@ -284,6 +296,10 @@ def test_success_times_are_bernoulli_trials():
     for share, prob in (((gaps == 1).mean(), p), ((gaps > 100).mean(), (1 - p) ** 100)):
         assert abs(share - prob) <= 4 * np.sqrt(prob * (1 - prob) / len(gaps))
     assert len(montecarlo._success_times(rng, trials, 0.0, ws)) == 0
+
+
+def _float_integers(t):
+    return t.dtype == np.float64 and (t == np.floor(t)).all()
 
 
 def _unbuffered_success_times(rng, trials, p):
@@ -330,9 +346,9 @@ def _record_runs(monkeypatch):
     seen, runs = [], montecarlo._runs
 
     def record(t, N, m, n, ws):
-        assert isinstance(ws, montecarlo._Workspace)
+        assert isinstance(ws, montecarlo._Workspace) and _float_integers(t)
         a, b = runs(t, N, m, n, ws)
-        seen.append((t.copy(), a.copy(), b.copy()))
+        seen.append((t.astype(np.int64), a.copy(), b.copy()))
         return a, b
 
     monkeypatch.setattr(montecarlo, "_runs", record)
@@ -346,8 +362,8 @@ def _chunk_keys(chunks):
 
 
 def test_buffered_sampler_equals_unbuffered(monkeypatch):
-    # positions and run pairs equal, element for element, those of fresh
-    # arrays joined by concatenate and cast by astype: over several chunks
+    # positions, cast to int64, and run pairs equal, element for element,
+    # those of fresh arrays joined by concatenate and cast by astype: over several chunks
     # of one stream, several streams at 1, 2 and 3 threads, and the chunks
     # of a block sample; the reference lives here, so this holds at any numpy
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
@@ -399,11 +415,13 @@ def test_workspace_grows_on_an_extra_round():
         t = montecarlo._success_times(got_rng, trials, p, ws)
         want = _unbuffered_success_times(want_rng, trials, p)
         assert got_rng.rounds == want_rng.rounds >= 2
-        assert t.dtype == np.int64 and (t == want).all() and len(t) == len(want)
+        assert _float_integers(t) and len(t) == len(want)
+        assert (t.astype(np.int64) == want).all()
         for m, n in ((5, 1), (20, 2)):
             for got, ref in zip(montecarlo._runs(t, 100, m, n, ws),
                                 _unbuffered_runs(want, 100, m, n)):
-                assert len(got) == len(ref) and (got == ref).all()
+                assert got.dtype == np.int64 and len(got) == len(ref)
+                assert (got == ref).all()
     assert len(ws.draws) >= 400_000 * SPARSE_P
 
 

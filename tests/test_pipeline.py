@@ -94,10 +94,13 @@ def test_report_trivial_threshold():
 
 
 def test_report_range_exceeded():
-    r = scan_approximation(9, 0.3, 5, 2, want_exact=True)
-    assert r.range_exceeded
-    assert r.approx_T4 is None and r.E is None and r.EH is None
-    assert r.exact is not None  # exact engine still works out of range
+    for want_T3 in (False, True):
+        r = scan_approximation(9, 0.3, 5, 2, want_exact=True, want_T3=want_T3)
+        assert r.range_exceeded
+        assert r.approx_T4 is None and r.E is None and r.EH is None
+        assert r.approx_T3 is None and r.E_T3 is None
+        assert r.exact is not None  # exact engine still works out of range
+    assert r.q3 is not None and r.q4 is not None
 
 
 def test_report_rejects_short_runs():
