@@ -19,9 +19,9 @@ from .pipeline import *
 _LAZY = {
     "montecarlo": ("SimulationPlan", "MCEstimate", "BlockSample",
                    "simulate_scan_cdf", "simulate_block_sequence"),
-    "scan_exact": ("MAX_CHAIN_STATES", "MAX_BRUTE_N", "BernoulliScanSpec",
-                   "exact_scan_cdf", "brute_force_scan_cdf", "block_q_sequence",
-                   "block_p_sequence"),
+    "scan_exact": ("MAX_CHAIN_STATES", "MAX_STATE_STEPS", "MAX_BRUTE_N",
+                   "BernoulliScanSpec", "exact_scan_cdf", "brute_force_scan_cdf",
+                   "block_q_sequence", "block_p_sequence"),
 }
 _OWNER = {name: mod for mod, names in _LAZY.items() for name in (mod, *names)}
 _loaded = False

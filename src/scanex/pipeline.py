@@ -100,7 +100,7 @@ def format_bound(x: float) -> str:
     return f"{mant}e{e:+03d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanReport:
     """Approximation summary for P(S_m(Lm) <= n).
 
@@ -129,7 +129,7 @@ class ScanReport:
     range_exceeded: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SandwichResult:
     lower: float
     upper: float

@@ -9,12 +9,19 @@ answers every requested trial count on the way.  A direct enumeration
 over all ``2**N`` outcomes is included as an independent cross-check for
 small ``N``.
 
-The chain is evaluated in one of two ways, chosen from the input.  Stepping
-costs O(N * C(m, n)) time.  A chain of S = C(m, n) <= 256 states that is
-long against its size, S**2 * N.bit_length() <= 400 * N for the largest N
-asked, instead raises its dense (S + 1) x (S + 1) tail operator to the N-th
-power by repeated squaring, in O(S**3 * log N) time; it keeps two powers at
-a time, (S + 1)**2 doubles each.
+The chain is evaluated in one of three ways, chosen from the input.  A
+chain of S = C(m, n) <= 256 states that is long against its size,
+S**2 * N.bit_length() <= 400 * N for the largest N asked, raises its dense
+(S + 1) x (S + 1) tail operator to the N-th power by repeated squaring, in
+O(S**3 * log N) time; it keeps two powers at a time, (S + 1)**2 doubles
+each.  Any other chain steps.  A chain of at most 2**14 states whose
+blocks of m - 1 trials with at most n successes number at most 2 S (every
+n <= m / 2 among them) steps only about (N - m + 1) / 2 times: no window
+meets both sides of a middle block of m - 1 trials, and i.i.d. trials read
+the same backward, so the value is a sum over middle blocks of products of
+one chain vector at the two half lengths.  That costs
+O(ceil((N - m + 1) / 2) * S) time.  Larger chains step N times, in
+O(N * S) time.
 
 The block view groups the trials into stretches of length ``m`` and looks
 at ``W_k``, the largest window sum among windows starting inside block
@@ -27,12 +34,15 @@ to the approximation machinery in :mod:`scanex.extremes`:
   tails through the inverse of the q recursion
 
 Exact computations refuse to run past hard resource caps (a chain of more
-than ``MAX_CHAIN_STATES = 2**24`` states or words wider than 63 bits,
+than ``MAX_CHAIN_STATES = 2**24`` states or words wider than 63 bits, more
+than ``MAX_STATE_STEPS = 2**36`` states times steps for a stepped pass,
 ``N <= 22`` for enumeration) instead of silently thrashing.
 
-A chain's successor index depends only on (m, n).  The indexes of chains
-of at most 2**14 states are kept across calls, the 64 most recently used,
-so they retain at most 16 MiB; larger chains build theirs on every call.
+A chain's successor index and its split index (the two states each middle
+block reaches) depend only on (m, n).  Both are kept across calls for the
+chains of at most 2**14 states, the 64 most recently used of each, so they
+retain at most 16 MiB and 8 MiB; larger chains build their successor index
+on every call and are not split.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ from .extremes import CapacityError, PSequence, QSequence, _p_from_complements
 
 __all__ = [
     "MAX_CHAIN_STATES",
+    "MAX_STATE_STEPS",
     "MAX_BRUTE_N",
     "BernoulliScanSpec",
     "exact_scan_cdf",
@@ -59,7 +70,9 @@ __all__ = [
 # the weights and the successor index; the index build peaks near 27 bytes):
 # every n fits up to m = 26, where C(26, 13) = 10 400 600 states take 0.5 GB.
 # The successor index of a chain of at most 2**14 states (at most 256 KiB)
-# is kept across calls, 64 of them at most: 16 MiB retained in all.
+# is kept across calls, 64 of them at most: 16 MiB retained in all.  Its
+# split index holds two positions of at most 16 bits for each of at most
+# 2 S blocks (at most 128 KiB), 64 of them at most: 8 MiB.
 # A chain of S <= 256 states takes binary powers of its dense tail operator
 # when S**2 * N.bit_length() <= 400 * N.  Measured with numpy 2.4.6 and
 # OpenBLAS on 2 CPUs: a step of a small chain costs 1.5-5 us of numpy
@@ -68,6 +81,10 @@ __all__ = [
 # 256 states the squarings' S**3 arithmetic, not dispatch, sets their cost,
 # and the powers' 2 (S + 1)**2 doubles would grow with N without bound.
 MAX_CHAIN_STATES = 1 << 24
+# A stepped pass costs about 3.5 ns per state and step at C(20, 10) states,
+# so 2**36 state-steps is about 4 minutes.  Powers are exempt: S <= 256 and
+# log N squarings bound their work.
+MAX_STATE_STEPS = 1 << 36
 _CACHED_CHAIN_STATES = 1 << 14
 _POWER_CHAIN_STATES = 1 << 8
 _POWER_COST = 400
@@ -231,6 +248,84 @@ def _start(m: int, n: int) -> int:
     return math.comb(m - 1, n) if n else 0
 
 
+@functools.lru_cache(maxsize=64)
+def _split_index(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states sigma and tau reached by reading each block of m - 1
+    trials with at most n successes forward and backward from w0.
+
+    Blocks are grouped by their number of successes j, ascending, so the
+    C(m - 1, j) blocks of each j are contiguous.  A block never exceeds the
+    budget on the way, so every success lands on an odd word, whose success
+    successor sits S - E entries after its failure successor in the index.
+    Positions are stored in the narrowest unsigned type that holds S - 1.
+    Built once per (m, n), for chains that ``_chain_survival`` splits.
+    """
+    S, E = math.comb(m, n), math.comb(m - 1, n)
+    idx = _cached_successor_index(m, n)
+    codes = np.zeros(1, dtype=np.int64)  # bit i - 1 is trial i of the block
+    ones = np.zeros(1, dtype=np.int8)
+    for i in range(m - 1):
+        one = ones < n
+        codes = np.concatenate((codes, codes[one] | (1 << i)))
+        ones = np.concatenate((ones, ones[one] + 1))
+    codes = codes[np.argsort(ones, kind="stable")]
+    out = []
+    for order in (range(m - 1), range(m - 2, -1, -1)):
+        at = np.full(codes.shape, _start(m, n), dtype=np.int64)
+        for i in order:
+            at = idx.take(at + ((codes >> i) & 1) * (S - E))
+        at = at.astype(np.min_scalar_type(S - 1))
+        at.flags.writeable = False
+        out.append(at)
+    return tuple(out)
+
+
+def _split_survival(m: int, p: float, n: int, stops, tail: bool) -> dict[int, float]:
+    """P(S_m(N) <= n), or with ``tail`` P(S_m(N) > n), for each of the
+    ascending ``stops`` N >= m, from u (or v) at about (N - m + 1) / 2.
+
+    No window of m trials meets both sides of a block beta of m - 1 trials,
+    so given beta the two sides stay at or below n independently.  Read
+    backward, the left side of l trials is a chain run from tau(beta); the
+    right side of r trials is one run from sigma(beta).  With
+    l = (N - m + 1) // 2 and r = N - m + 1 - l:
+
+        P(S_m(N) <= n) = sum_beta P(beta) u_l(tau beta) u_r(sigma beta)
+        P(S_m(N) > n)  = P(Bin(m - 1, p) > n)
+                         + sum_beta P(beta) [a + (1 - a) v_r(sigma beta)],
+                         a = v_l(tau beta)
+
+    over the blocks with at most n successes, P(beta) = p**j q**(m - 1 - j).
+    Every term is non-negative.  A pass steps to the largest r and gathers
+    u at each l and r it reaches; r - l is 0 or 1, so it holds at most two
+    gathered left sides, whatever the number of stops.
+    """
+    sigma, tau = _split_index(m, n)
+    q = 1.0 - p
+    weight = np.repeat([p**j * q**(m - 1 - j) for j in range(n + 1)],
+                       [math.comb(m - 1, j) for j in range(n + 1)])
+    rest = math.fsum(math.comb(m - 1, j) * p**j * q**(m - 1 - j)
+                     for j in range(n + 1, m)) if tail else 0.0
+    lefts, rights = set(), {}
+    for N in stops:
+        k = N - m + 1
+        lefts.add(k // 2)
+        rights.setdefault(k - k // 2, []).append((N, k // 2))
+    steps = sorted(lefts | rights.keys())
+    out, kept = {}, {}
+    for t, u in zip(steps, _survival_vectors(m, p, n, steps, tail)):
+        kept = {t - 1: kept[t - 1]} if t - 1 in kept else {}  # all a right side can need
+        if t in lefts:
+            kept[t] = u.take(tau)
+        if t in rights:
+            b = u.take(sigma)
+            for N, l in rights[t]:
+                a = kept[l]
+                terms = a + (1.0 - a) * b if tail else a * b
+                out[N] = rest + float((weight * terms).sum())
+    return out
+
+
 def _chain_powers(m: int, p: float, n: int, stops) -> list[tuple[float, float]]:
     """(P(S_m(N) <= n), P(S_m(N) > n)) for each of the ascending ``stops``,
     from binary powers of the tail operator.
@@ -271,24 +366,38 @@ def _chain_survival(m: int, p: float, n: int, trials, tail: bool = False) -> tup
     """P(S_m(N) <= n) for every N in ``trials``, from one pass of the chain;
     with ``tail``, P(S_m(N) > n), accurate relative to its own size.
 
-    The pass runs to the largest N over the S = C(m, n) states of the
-    minimal chain.  It steps, in O(N * S) time, unless S <= 256 and
-    S**2 * N.bit_length() <= 400 * N (``_POWER_CHAIN_STATES``,
-    ``_POWER_COST``): then ``_chain_powers`` squares the dense tail operator,
-    in O(S**3 * log N) time and 2 (S + 1)**2 doubles.  The largest N picks
-    the engine for every N of the call.
+    The pass runs over the S = C(m, n) states of the minimal chain, in one
+    of three ways.  If S <= 256 and S**2 * N.bit_length() <= 400 * N
+    (``_POWER_CHAIN_STATES``, ``_POWER_COST``) for the largest N,
+    ``_chain_powers`` squares the dense tail operator, in O(S**3 * log N)
+    time and 2 (S + 1)**2 doubles, for every N of the call.  Otherwise, if
+    S <= 2**14 and at most 2 S blocks of m - 1 trials hold at most n
+    successes, ``_split_survival`` steps to r = ceil((N - m + 1) / 2) and
+    joins the vectors at l = N - m + 1 - r and r over the middle blocks.
+    Any other chain steps to N and reads u_N(w0).  Each N's value depends
+    only on (m, p, n, N) and the engine.
 
-    Both engines sum non-negative terms, so P(S_m(N) > n) and, in the form
+    Every engine sums non-negative terms, so P(S_m(N) > n) and, in the form
     asked for, P(S_m(N) <= n) keep their own relative precision.  With
     u = 2**-53, a step adds at most 3 roundings, so stepping is proven
-    within about 3 N u; each squaring of an order S + 1 matrix doubles the
-    error of its factor and adds (S + 1) u, so powers are proven only within
-    about (S + 2) N u.  Measured against 60-digit mpmath (tests/oracles.py)
-    at m in {5, 7, 9, 10}, p in {0.01, 0.05, 0.3, 0.7}, every n < m and
-    N in {m, 3m + 1, 10m, 30m}, powers were within 0.72 N u and stepping
-    within 0.36 N u; at p near 1e-4 powers reach 1.4 N u.  Raises
-    CapacityError past ``MAX_CHAIN_STATES`` states or for words wider than
-    63 bits.
+    within about 3 N u.  The split's two vectors are within 3 (N - m + 1) u
+    together; forming each term adds at most 3 roundings for its weight
+    p**j * q**(m - 1 - j) and 4 for the product (a * b, or a + (1 - a) * b
+    with the weight), the binomial remainder of the tail 1 more, and numpy's
+    pairwise sum of at most 2**15 terms at most 33.  That stays within
+    3 N u for every split chain with m >= 11, and within 3 N u + 9 u below.
+    Each squaring of an order S + 1 matrix doubles the error of its factor
+    and adds (S + 1) u, so powers are proven only within about (S + 2) N u.
+    Measured against 60-digit mpmath (tests/oracles.py) at m in
+    {5, 7, 9, 10}, p in {0.01, 0.05, 0.3, 0.7}, every n < m and N in
+    {m, 3m + 1, 10m, 30m}, powers were within 0.72 N u, stepping within
+    0.36 N u and the split within 0.47 N u; at p near 1e-4 powers reach
+    1.4 N u.  Survivals above 1e-30 on that grid were within 0.98 N u split
+    and 0.96 N u stepped.
+
+    Raises CapacityError past ``MAX_CHAIN_STATES`` states, for words wider
+    than 63 bits, or when S times the steps the pass would take exceeds
+    ``MAX_STATE_STEPS``; all three are checked before anything is built.
     """
     certain = 0.0 if tail else 1.0  # the value where no window can exceed n
     if n >= m:
@@ -308,9 +417,20 @@ def _chain_survival(m: int, p: float, n: int, trials, tail: bool = False) -> tup
             pairs = _chain_powers(m, p, n, stops)  # (survival, tail) at each stop
             at = {N: pair[tail] for N, pair in zip(stops, pairs)}
         else:
-            w0 = _start(m, n)
-            vectors = _survival_vectors(m, p, n, stops, tail)
-            at = {N: float(u[w0]) for N, u in zip(stops, vectors)}
+            blocks = sum(math.comb(m - 1, j) for j in range(n + 1))  # middle blocks to join
+            split = states <= _CACHED_CHAIN_STATES and blocks <= 2 * states
+            steps = (last - m + 2) // 2 if split else last
+            if states * steps > MAX_STATE_STEPS:
+                raise CapacityError(
+                    f"chain stepping limited to {MAX_STATE_STEPS} state-steps; S={states} "
+                    f"states (m={m}, n={n}) over N={last} trials need {states * steps}"
+                )
+            if split:
+                at = _split_survival(m, p, n, stops, tail)
+            else:
+                w0 = _start(m, n)
+                vectors = _survival_vectors(m, p, n, stops, tail)
+                at = {N: float(u[w0]) for N, u in zip(stops, vectors)}
     return tuple(at.get(N, certain) for N in trials)
 
 
@@ -320,10 +440,15 @@ def exact_scan_cdf(spec: BernoulliScanSpec) -> float:
     Degenerate inputs resolve to certainty: n >= m (no window can exceed)
     and N < m (no window exists) both give 1.  The chain holds S = C(m, n)
     states, so stepping takes O(N * S) time and 32 (1 + n/m) bytes per
-    state.  Where S <= 256 and S**2 * N.bit_length() <= 400 * N, binary
-    powers of the dense operator take O(S**3 * log N) time and two powers
-    of (S + 1)**2 doubles instead.  More than ``MAX_CHAIN_STATES`` states,
-    or m > 63, raises CapacityError.
+    state.  A chain of at most 2**14 states with at most 2 S middle blocks
+    (every n <= m / 2 among them) is split at a middle block of m - 1
+    trials and steps only ceil((N - m + 1) / 2) times; its value is proven
+    within 3 N u for m >= 11 and within 3 N u + 9 u below, u = 2**-53, as
+    stepping's is within 3 N u.  Where S <= 256 and
+    S**2 * N.bit_length() <= 400 * N, binary powers of the dense operator
+    take O(S**3 * log N) time and two powers of (S + 1)**2 doubles instead.
+    More than ``MAX_CHAIN_STATES`` states, m > 63, or a stepped pass of more
+    than ``MAX_STATE_STEPS`` states times steps raises CapacityError.
     """
     return _chain_survival(spec.m, spec.p, spec.n, (spec.N,))[0]
 
@@ -349,8 +474,10 @@ def block_q_sequence(m: int, p: float, n: int, kmax: int) -> QSequence:
     """q_k = P(max(W_1..W_k) <= n) for k = 1..kmax.
 
     Because the first k blocks span exactly (k+1)*m trials, each term is a
-    plain scan CDF value, and one chain pass of (kmax+1)*m trials yields
-    them all.
+    plain scan CDF value, and one chain pass yields them all: to
+    ceil((kmax*m + 1) / 2) steps for a chain split at a middle block, with
+    each q_k within the split's proven 3 (k+1) m u (plus 9 u for m <= 10),
+    and to (kmax+1)*m steps otherwise.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -368,8 +495,10 @@ def block_p_sequence(m: int, p: float, n: int, kmax: int) -> PSequence:
     One tail pass of the chain over (kmax+1)*m trials gives every
     a_k = 1 - q_k = P(S_m((k+1)m) > n) to its own relative precision, and
     the inverse recursion, run in those complements, turns them into p_k.
-    Time is that of one chain pass to N = (kmax+1) * m, at most
-    O(N * C(m, n)), and the caps are those of the chain.
+    Time is that of one chain pass for N = (kmax+1) * m: about half of
+    O(N * C(m, n)) for a chain split at a middle block, whose a_k keep the
+    split's proven 3 (k+1) m u relative (plus 9 u for m <= 10), and at most
+    O(N * C(m, n)) otherwise.  The caps are those of the chain.
     The p_k are accurate in absolute terms, to some ulp of a_kmax; high-k
     terms below that keep only rounding noise and may come out as tiny
     negative values.

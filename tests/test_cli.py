@@ -164,6 +164,14 @@ def test_scan_exact_capacity_exit_3(capsys):
     assert code == 3
 
 
+def test_scan_exact_work_cap_exit_3(capsys):
+    # C(20, 10) states over 10**9 trials: refused before any step
+    code, _, err = run_main(
+        capsys, "scan", "exact", "--m", "20", "--p", "0.05", "--N", "1000000000", "--n", "10"
+    )
+    assert code == 3 and "state-steps" in err
+
+
 def parse_md(text):
     header, _, row = [
         [c.strip() for c in line.strip().strip("|").split("|")]

@@ -1,5 +1,9 @@
 """Formatting rules, end-to-end approximation reports, table regeneration."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from scanex.pipeline import (
@@ -168,3 +172,17 @@ def test_scan_table_spot_rows():
     t4 = reproduce_table(4)
     assert ("2", "0.99813", "0.99677", "0.98061", "0.98060", "0.00019", "0.00006") in t4.rows
     assert ("5", "1.", "1.", "1.", "1.", "4e-14", "1e-14") in t4.rows
+
+
+def test_records_have_slots_and_round_trip():
+    # one record per query: no per-instance __dict__
+    records = (scan_approximation(9, 0.05, 10, 3, want_exact=True, want_T3=True),
+               scan_approximation(9, 0.3, 4, 3), sandwich(9, 0.05, 93, 3))
+    for r in records:
+        assert not hasattr(r, "__dict__")
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert copy.deepcopy(r) == r
+        assert dataclasses.replace(r) == r
+        assert type(r)(**dataclasses.asdict(r)) == r
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.L = 1

@@ -1,5 +1,6 @@
 """Exact scan engines against closed forms and a test-local enumerator."""
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -16,11 +17,14 @@ from scanex.extremes import CapacityError, PSequence, qn_from_p
 from scanex.pipeline import format_probability, sandwich, scan_approximation
 from scanex.scan_exact import (
     MAX_CHAIN_STATES,
+    MAX_STATE_STEPS,
     BernoulliScanSpec,
     _budget_words,
     _cached_successor_index,
     _chain_powers,
     _chain_survival,
+    _split_index,
+    _split_survival,
     _start,
     _successor_index,
     _survival_vectors,
@@ -273,6 +277,29 @@ def test_capacity_limits():
         brute_force_scan_cdf(BernoulliScanSpec(3, 0.5, 23, 1))
 
 
+def test_work_cap(monkeypatch):
+    # C(20, 10) = 184 756 states over 10**9 trials would step for days
+    with pytest.raises(CapacityError, match=r"S=184756 .* N=1000000000 "):
+        exact_scan_cdf(BernoulliScanSpec(20, 0.05, 10**9, 10))
+    assert MAX_STATE_STEPS == 1 << 36
+    # a split chain counts its longer half: C(20, 3) = 1140 states step to
+    # r = 93 at N = 205 and to 94 at N = 207; the refusal builds nothing
+    monkeypatch.setattr(scan_exact, "MAX_STATE_STEPS", 1140 * 93)
+    assert 0.0 < exact_scan_cdf(BernoulliScanSpec(20, 0.05, 205, 3)) < 1.0
+    before = _split_index.cache_info()
+    with pytest.raises(CapacityError, match="state-steps"):
+        exact_scan_cdf(BernoulliScanSpec(20, 0.05, 207, 3))
+    assert _split_index.cache_info() == before
+    # an unsplit chain counts every trial: C(18, 6) = 18 564 states
+    monkeypatch.setattr(scan_exact, "MAX_STATE_STEPS", 18_564 * 40)
+    assert 0.0 < exact_scan_cdf(BernoulliScanSpec(18, 0.05, 40, 6)) < 1.0
+    with pytest.raises(CapacityError, match="state-steps"):
+        exact_scan_cdf(BernoulliScanSpec(18, 0.05, 41, 6))
+    # powers are exempt: 20 states over 10**18 trials take 60 squarings
+    monkeypatch.setattr(scan_exact, "MAX_STATE_STEPS", 1)
+    assert 0.0 < exact_scan_cdf(BernoulliScanSpec(20, 0.05, 10**18, 19)) < 1.0
+
+
 # ------------------------------------------------------------ block q and p
 
 
@@ -441,6 +468,11 @@ def powered(m, p, n, stops, tail):
     return [v[tail] for v in _chain_powers(m, p, n, stops)]
 
 
+def split(m, p, n, stops, tail):
+    got = _split_survival(m, p, n, stops, tail)
+    return [got[N] for N in stops]
+
+
 @st.composite
 def power_chains(draw):
     m = draw(st.integers(1, 14))
@@ -462,6 +494,85 @@ def test_stepping_and_powers_agree(chain):
         assert abs(a - b) <= 3 * N * U * b + sys.float_info.min, (tail, a, b)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(power_chains())
+def test_split_agrees_with_stepping(chain):
+    # the split sums non-negative products of two vectors of about N / 2
+    # steps each, so it keeps stepping's relative precision in both forms
+    m, p, n, N = chain
+    for tail in (True, False):
+        a, = split(m, p, n, [N], tail)
+        b, = stepped(m, p, n, [N], tail)
+        assert abs(a - b) <= 3 * N * U * b + sys.float_info.min, (tail, a, b)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-4, 1.3e-4, 0.5, 1.0])
+def test_split_edges_agree_with_stepping(p):
+    # n = 0, and N = m and m + 1, where the left side is empty (l = 0)
+    for m in range(1, 12):
+        stops = [m, m + 1, 2 * m + 3]
+        for n in range(m):
+            for tail in (True, False):
+                got = split(m, p, n, stops, tail)
+                for N, a, b in zip(stops, got, stepped(m, p, n, stops, tail)):
+                    assert abs(a - b) <= 3 * N * U * b + sys.float_info.min, (m, n, N, tail)
+
+
+def test_split_matches_enumeration():
+    cases = [(m, p, n, (m, m + 1, 2 * m + 1, 16)) for m in (1, 2, 3, 5, 7)
+             for p in (0.2, 0.8) for n in range(m)]
+    cases += [(7, 0.3, 2, (22,)), (8, 0.6, 5, (22,))]  # enumeration's largest N
+    for m, p, n, Ns in cases:
+        for N, a in zip(Ns, split(m, p, n, Ns, False)):
+            b = brute_force_scan_cdf(BernoulliScanSpec(m, p, N, n))
+            assert abs(a - b) <= 1e-13, (m, p, N, n)
+
+
+def test_split_steps_half_the_trials(monkeypatch):
+    # C(20, 3) = 1140 states: N - m + 1 = 186 trials outside the middle
+    # block, split into two halves of 93
+    reached = []
+    real = scan_exact._survival_vectors
+
+    def spy(m, p, n, stops, tail=False):
+        reached.extend(stops)
+        return real(m, p, n, stops, tail)
+
+    monkeypatch.setattr(scan_exact, "_survival_vectors", spy)
+    assert 0.0 < exact_scan_cdf(BernoulliScanSpec(20, 0.05, 205, 3)) < 1.0
+    assert reached == [93]
+
+
+def budget_word(past, m, n):
+    """The word of the state after the trials ``past`` (0 or 1 each, at most
+    m - 1 of them), from its definition: the window ending at future trial i
+    allows n minus the successes among the last m - i past trials, and
+    cap(k) = min(k, allow(i) + k - i for i <= k)."""
+    word = prev = 0
+    for k in range(1, m + 1):
+        cap = min([k] + [n - sum(past[len(past) - (m - i):]) + k - i for i in range(1, k + 1)])
+        word |= (cap - prev) << (k - 1)
+        prev = cap
+    return word
+
+
+def test_split_index_reads_every_block():
+    # (j, sigma, tau) of every block with at most n successes, against the
+    # states its forward and backward readings reach by definition
+    for m in range(1, 9):
+        for n in range(m):
+            at = {w: i for i, w in enumerate(_budget_words(m, n).tolist())}
+            sigma, tau = _split_index(m, n)
+            counts = [math.comb(m - 1, j) for j in range(n + 1)]
+            got = sorted(zip(np.repeat(range(n + 1), counts).tolist(), sigma.tolist(),
+                             tau.tolist()))
+            want = sorted((sum(b), at[budget_word(b, m, n)], at[budget_word(b[::-1], m, n)])
+                          for b in itertools.product((0, 1), repeat=m - 1) if sum(b) <= n)
+            assert got == want, (m, n)
+            with pytest.raises(ValueError):
+                sigma[0] = 0
+
+
 @pytest.mark.parametrize("m, trials", [(5, (5, 16, 50, 150)), (7, (7, 22, 70, 210)),
                                        (9, (9, 28)), (10, (10, 31))])
 def test_both_engines_against_60_digit_tails(m, trials):
@@ -469,7 +580,7 @@ def test_both_engines_against_60_digit_tails(m, trials):
     for p in (0.01, 0.05, 0.3, 0.7):
         for n in range(m):
             ref = mp_scan_tails(m, p, n, trials)
-            for engine in (stepped, powered):
+            for engine in (stepped, powered, split):
                 got = engine(m, p, n, trials, True)
                 for N, a, want in zip(trials, got, ref):
                     assert abs(a - want) <= 3 * N * U * want, (engine.__name__, p, n, N)
