@@ -23,20 +23,16 @@ _LAZY = {
                    "BernoulliScanSpec", "exact_scan_cdf", "brute_force_scan_cdf",
                    "block_q_sequence", "block_p_sequence"),
 }
-_OWNER = {name: mod for mod, names in _LAZY.items() for name in (mod, *names)}
-_loaded = False
+_NAMES = {name for mod, names in _LAZY.items() for name in (mod, *names)}
 
 __all__ = ["__version__", *extremes.__all__, *_LAZY["montecarlo"],
            *pipeline.__all__, *_LAZY["scan_exact"]]
 
 
 def _load() -> None:
-    """Import the numpy modules and bind their names where the package holds
-    none yet (a wrapper or a patch set before the load stays)."""
-    global _loaded
-    if _loaded:
-        return
-    _loaded = True
+    """Import the numpy modules together and bind their names where the
+    package holds none yet (a wrapper or a patch set before the load
+    stays)."""
     for mod_name, names in _LAZY.items():
         mod = importlib.import_module(f".{mod_name}", __name__)
         for name in names:
@@ -44,13 +40,11 @@ def _load() -> None:
 
 
 def __getattr__(name: str):
-    owner = _OWNER.get(name)
-    if owner is None:
+    if name not in _NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load()
-    mod = importlib.import_module(f".{owner}", __name__)
-    return mod if name == owner else getattr(mod, name)
+    _load()  # the import binds each module in globals() too
+    return globals()[name]
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_OWNER})
+    return sorted({*globals(), *_NAMES})

@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -273,7 +272,7 @@ def simulate_scan_cdf(plan: SimulationPlan, threads: int = 1) -> MCEstimate:
 
     ``threads`` only parallelises the streams; outputs are identical for
     any thread count, and the pool never exceeds the streams or the CPUs.
-    Each worker runs a contiguous group of streams with one workspace.
+    Worker i of w runs streams i, i + w, ... in turn with one workspace.
     Degenerate specs (no window, or threshold at or above m) short-circuit
     to certainty.
     """
@@ -284,8 +283,7 @@ def simulate_scan_cdf(plan: SimulationPlan, threads: int = 1) -> MCEstimate:
         return MCEstimate(estimate=1.0, half_width_95=0.0, reps=plan.reps)
     jobs = list(enumerate(_stream_reps(plan.reps, plan.stream_count)))
     workers = min(threads, len(jobs), os.cpu_count() or 1)
-    sizes = _stream_reps(len(jobs), workers)
-    groups = [jobs[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+    groups = [jobs[i::workers] for i in range(workers)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(lambda g: _count_streams(spec, plan.seed, g), groups))

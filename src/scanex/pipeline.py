@@ -30,7 +30,6 @@ own defining formulas; the renderer stays with the formulas.  See the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import ROUND_DOWN, Decimal
 
@@ -95,9 +94,8 @@ def format_bound(x: float) -> str:
     t = truncate(round(x, 6), 5)
     if t >= 1e-5:
         return f"{t:.5f}"
-    e = math.floor(math.log10(x))
-    mant = int(x / 10.0**e)
-    return f"{mant}e{e:+03d}"
+    d = Decimal(repr(x))  # the shortest decimal, as in ``truncate``
+    return f"{d.as_tuple().digits[0]}e{d.adjusted():+03d}"
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,19 +9,9 @@ answers every requested trial count on the way.  A direct enumeration
 over all ``2**N`` outcomes is included as an independent cross-check for
 small ``N``.
 
-The chain is evaluated in one of three ways, chosen from the input.  A
-chain of S = C(m, n) <= 256 states that is long against its size,
-S**2 * N.bit_length() <= 400 * N for the largest N asked, raises its dense
-(S + 1) x (S + 1) tail operator to the N-th power by repeated squaring, in
-O(S**3 * log N) time; it keeps two powers at a time, (S + 1)**2 doubles
-each.  Any other chain steps.  A chain of at most 2**14 states whose
-blocks of m - 1 trials with at most n successes number at most 2 S (every
-n <= m / 2 among them) steps only about (N - m + 1) / 2 times: no window
-meets both sides of a middle block of m - 1 trials, and i.i.d. trials read
-the same backward, so the value is a sum over middle blocks of products of
-one chain vector at the two half lengths.  That costs
-O(ceil((N - m + 1) / 2) * S) time.  Larger chains step N times, in
-O(N * S) time.
+Which engine evaluates the chain, its proven and measured error, its
+caps and the memory it takes are stated once, in ``_chain_survival``;
+the public functions below refer to it.
 
 The block view groups the trials into stretches of length ``m`` and looks
 at ``W_k``, the largest window sum among windows starting inside block
@@ -33,16 +23,8 @@ to the approximation machinery in :mod:`scanex.extremes`:
 * ``block_p_sequence``  ->  p_k = P(min(W_1..W_k) > n), from the same chain's
   tails through the inverse of the q recursion
 
-Exact computations refuse to run past hard resource caps (a chain of more
-than ``MAX_CHAIN_STATES = 2**24`` states or words wider than 63 bits, more
-than ``MAX_STATE_STEPS = 2**36`` states times steps for a stepped pass,
-``N <= 22`` for enumeration) instead of silently thrashing.
-
-A chain's successor index and its split index (the two states each middle
-block reaches) depend only on (m, n).  Both are kept across calls for the
-chains of at most 2**14 states, the 64 most recently used of each, so they
-retain at most 16 MiB and 8 MiB; larger chains build their successor index
-on every call and are not split.
+Exact computations refuse to run past hard resource caps instead of
+silently thrashing; enumeration stops at ``N <= 22``.
 """
 
 from __future__ import annotations
@@ -180,7 +162,7 @@ def _successor_index(m: int, n: int) -> np.ndarray:
     Rotating a word right by one bit maps the state order onto ascending
     keys, so a position is a binary search among the keys.  Successors are
     placed a chunk at a time, so the build needs little beyond the keys and
-    the index itself.  The index is read-only, so callers may share it.
+    the index itself.
     """
     S, E = math.comb(m, n), math.comb(m - 1, n)
     top = 1 << (m - 1)
@@ -196,14 +178,16 @@ def _successor_index(m: int, n: int) -> np.ndarray:
             w = step(keys[a:min(hi, a + _INDEX_CHUNK)] & (top - 1))
             idx[at:at + w.shape[0]] = np.searchsorted(keys, (w >> 1) | ((w & 1) << (m - 1)))
             at += w.shape[0]
-    idx.flags.writeable = False
     return idx
 
 
 @functools.lru_cache(maxsize=64)
 def _cached_successor_index(m: int, n: int) -> np.ndarray:
-    """``_successor_index(m, n)``, built once per (m, n) for small chains."""
-    return _successor_index(m, n)
+    """``_successor_index(m, n)``, built once per (m, n) for small chains
+    and read-only, so callers may share it."""
+    idx = _successor_index(m, n)
+    idx.flags.writeable = False
+    return idx
 
 
 def _chain(m: int, p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,6 +209,8 @@ def _survival_vectors(m: int, p: float, n: int, stops, tail: bool = False):
     """
     S, E = math.comb(m, n), math.comb(m - 1, n)
     idx, weight = _chain(m, p, n)
+    # take copies a read-only index on every call; copy a shared one once
+    idx = np.require(idx, requirements="W")
     size = idx.shape[0]
     start = np.zeros(size) if tail else np.ones(size)
     cur, nxt = ((u, u[:E], u[E:S], u[S:]) for u in (start, np.empty(size)))
@@ -366,20 +352,35 @@ def _chain_survival(m: int, p: float, n: int, trials, tail: bool = False) -> tup
     """P(S_m(N) <= n) for every N in ``trials``, from one pass of the chain;
     with ``tail``, P(S_m(N) > n), accurate relative to its own size.
 
-    The pass runs over the S = C(m, n) states of the minimal chain, in one
-    of three ways.  If S <= 256 and S**2 * N.bit_length() <= 400 * N
-    (``_POWER_CHAIN_STATES``, ``_POWER_COST``) for the largest N,
-    ``_chain_powers`` squares the dense tail operator, in O(S**3 * log N)
-    time and 2 (S + 1)**2 doubles, for every N of the call.  Otherwise, if
-    S <= 2**14 and at most 2 S blocks of m - 1 trials hold at most n
-    successes, ``_split_survival`` steps to r = ceil((N - m + 1) / 2) and
-    joins the vectors at l = N - m + 1 - r and r over the middle blocks.
-    Any other chain steps to N and reads u_N(w0).  Each N's value depends
-    only on (m, p, n, N) and the engine.
+    This is the whole contract of the chain, which every exact value in
+    the package comes from.
 
-    Every engine sums non-negative terms, so P(S_m(N) > n) and, in the form
-    asked for, P(S_m(N) <= n) keep their own relative precision.  With
-    u = 2**-53, a step adds at most 3 roundings, so stepping is proven
+    Engine.  The pass runs over the S = C(m, n) states of the minimal
+    chain, and the largest N of the call picks one engine for every N of
+    the call:
+
+    * powers, if S <= 256 and S**2 * N.bit_length() <= 400 * N
+      (``_POWER_CHAIN_STATES``, ``_POWER_COST``): ``_chain_powers``
+      squares the dense (S + 1) x (S + 1) tail operator, in
+      O(S**3 * log N) time;
+    * split, otherwise if S <= 2**14 and at most 2 S blocks of m - 1
+      trials hold at most n successes (every n <= m / 2 among them):
+      ``_split_survival`` steps to r = ceil((N - m + 1) / 2) and joins the
+      vectors at l = N - m + 1 - r and r over the middle blocks, in
+      O(r * S) time;
+    * stepping, for any other chain: ``_survival_vectors`` steps to N and
+      reads u_N(w0), in O(N * S) time.
+
+    Each N's value depends only on (m, p, n, N) and the engine.  So the
+    value at one N can differ in its last bits, within the bounds below,
+    between calls whose largest N pick different engines:
+    ``block_q_sequence(8, 0.05, 3, 9)`` takes powers and gives
+    q_1 = 0.9983299964985859, while N = 16 alone is split and gives
+    0.9983299964985856.
+
+    Error.  Every engine sums non-negative terms, so P(S_m(N) > n) and, in
+    the form asked for, P(S_m(N) <= n) keep their own relative precision.
+    With u = 2**-53, a step adds at most 3 roundings, so stepping is proven
     within about 3 N u.  The split's two vectors are within 3 (N - m + 1) u
     together; forming each term adds at most 3 roundings for its weight
     p**j * q**(m - 1 - j) and 4 for the product (a * b, or a + (1 - a) * b
@@ -395,9 +396,18 @@ def _chain_survival(m: int, p: float, n: int, trials, tail: bool = False) -> tup
     1.4 N u.  Survivals above 1e-30 on that grid were within 0.98 N u split
     and 0.96 N u stepped.
 
-    Raises CapacityError past ``MAX_CHAIN_STATES`` states, for words wider
-    than 63 bits, or when S times the steps the pass would take exceeds
-    ``MAX_STATE_STEPS``; all three are checked before anything is built.
+    Caps.  Raises CapacityError past ``MAX_CHAIN_STATES`` states, for words
+    wider than 63 bits, or when S times the steps a split or stepped pass
+    would take exceeds ``MAX_STATE_STEPS``; powers are exempt.  All three
+    are checked before anything is built.
+
+    Memory.  Stepping peaks at 32 (1 + n/m) bytes per state, at most 64:
+    two vectors, the weights and the successor index.  Powers hold two
+    (S + 1)**2 matrices; the split adds O(blocks) per call, whatever the
+    number of stops.  The successor and split indexes of chains of at most
+    2**14 states are kept across calls, the 64 most recently used of each,
+    at most 16 MiB and 8 MiB; a larger chain builds its successor index on
+    every call.
     """
     certain = 0.0 if tail else 1.0  # the value where no window can exceed n
     if n >= m:
@@ -438,17 +448,9 @@ def exact_scan_cdf(spec: BernoulliScanSpec) -> float:
     """P(S_m(N) <= n), exact.
 
     Degenerate inputs resolve to certainty: n >= m (no window can exceed)
-    and N < m (no window exists) both give 1.  The chain holds S = C(m, n)
-    states, so stepping takes O(N * S) time and 32 (1 + n/m) bytes per
-    state.  A chain of at most 2**14 states with at most 2 S middle blocks
-    (every n <= m / 2 among them) is split at a middle block of m - 1
-    trials and steps only ceil((N - m + 1) / 2) times; its value is proven
-    within 3 N u for m >= 11 and within 3 N u + 9 u below, u = 2**-53, as
-    stepping's is within 3 N u.  Where S <= 256 and
-    S**2 * N.bit_length() <= 400 * N, binary powers of the dense operator
-    take O(S**3 * log N) time and two powers of (S + 1)**2 doubles instead.
-    More than ``MAX_CHAIN_STATES`` states, m > 63, or a stepped pass of more
-    than ``MAX_STATE_STEPS`` states times steps raises CapacityError.
+    and N < m (no window exists) both give 1.  The engine, its error, time
+    and memory, and the caps past which CapacityError is raised, are those
+    of ``_chain_survival``.
     """
     return _chain_survival(spec.m, spec.p, spec.n, (spec.N,))[0]
 
@@ -474,10 +476,8 @@ def block_q_sequence(m: int, p: float, n: int, kmax: int) -> QSequence:
     """q_k = P(max(W_1..W_k) <= n) for k = 1..kmax.
 
     Because the first k blocks span exactly (k+1)*m trials, each term is a
-    plain scan CDF value, and one chain pass yields them all: to
-    ceil((kmax*m + 1) / 2) steps for a chain split at a middle block, with
-    each q_k within the split's proven 3 (k+1) m u (plus 9 u for m <= 10),
-    and to (kmax+1)*m steps otherwise.
+    plain scan CDF value, and one chain pass over (kmax+1)*m trials yields
+    them all, under the contract of ``_chain_survival``.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -493,15 +493,11 @@ def block_p_sequence(m: int, p: float, n: int, kmax: int) -> PSequence:
     The W_k are stationary and 1-dependent, so the p's follow from the
     q's by inverting the inclusion-exclusion recursion of ``qn_from_p``.
     One tail pass of the chain over (kmax+1)*m trials gives every
-    a_k = 1 - q_k = P(S_m((k+1)m) > n) to its own relative precision, and
-    the inverse recursion, run in those complements, turns them into p_k.
-    Time is that of one chain pass for N = (kmax+1) * m: about half of
-    O(N * C(m, n)) for a chain split at a middle block, whose a_k keep the
-    split's proven 3 (k+1) m u relative (plus 9 u for m <= 10), and at most
-    O(N * C(m, n)) otherwise.  The caps are those of the chain.
-    The p_k are accurate in absolute terms, to some ulp of a_kmax; high-k
-    terms below that keep only rounding noise and may come out as tiny
-    negative values.
+    a_k = 1 - q_k = P(S_m((k+1)m) > n) to its own relative precision, under
+    the contract of ``_chain_survival``, and the inverse recursion, run in
+    those complements, turns them into p_k.  The p_k are accurate in
+    absolute terms, to some ulp of a_kmax; high-k terms below that keep
+    only rounding noise and may come out as tiny negative values.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")

@@ -499,6 +499,21 @@ def test_package_loads_numpy_modules_on_first_use():
     run_fresh(LAZY_EXPORTS)
 
 
+# reading one name loads both numpy modules, as a tracer that wraps the
+# functions of every loaded scanex module needs; other names still fail
+ONE_NAME = """
+import sys
+import scanex
+scanex.exact_scan_cdf
+assert {"scanex.scan_exact", "scanex.montecarlo"} <= set(sys.modules)
+assert not hasattr(scanex, "no_such_name")  # only AttributeError reads False
+"""
+
+
+def test_one_name_loads_both_numpy_modules():
+    run_fresh(ONE_NAME)
+
+
 # cli.main with numpy blocked: prints each command's stdout as one json list
 NO_NUMPY = """
 import contextlib, io, json, sys

@@ -49,6 +49,11 @@ def test_format_bound():
     assert format_bound(2.7e-7) == "2e-07"
     assert format_bound(9.4e-17) == "9e-17"
     assert format_bound(0.017223) == "0.01722"
+    # the float nearest k * 10**e may lie just below it, as 3e-08 does; its
+    # mantissa still reads k
+    for k in range(1, 10):
+        for e in range(-300, -5):
+            assert format_bound(float(f"{k}e{e}")) == f"{k}e{e:+03d}", (k, e)
 
 
 # ------------------------------------------------------------------ reports

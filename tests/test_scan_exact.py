@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -437,6 +438,19 @@ def test_large_chains_are_not_cached():
     assert _cached_successor_index.cache_info() == before
 
 
+def test_uncached_chain_steps_within_its_memory():
+    # C(18, 6) = 18 564 states build a fresh index and step on it without a
+    # copy: two vectors, the weights and the index, 32 (1 + n/m) B/state
+    m, n = 18, 6
+    tracemalloc.start()
+    try:
+        exact_scan_cdf(BernoulliScanSpec(m, 0.05, m + 3, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * 32 * (1 + n / m) * math.comb(m, n)
+
+
 def test_shared_index_is_thread_safe():
     specs = [BernoulliScanSpec(m, p, N, n)
              for m, n in ((12, 5), (10, 3), (12, 11))
@@ -614,3 +628,16 @@ def test_engine_selection(monkeypatch):
     # C(12, 4) = 495 states step even where the rule alone would square
     assert 495**2 * (12_000).bit_length() <= scan_exact._POWER_COST * 12_000
     assert engines_run(monkeypatch, 12, 0.05, 12_000, 4) == ["_survival_vectors"]
+
+
+def test_engine_is_picked_per_call():
+    # the largest N of a call picks the engine for every N of it: q_1 of
+    # these block sequences takes powers, while N = 2m alone does not, and
+    # the two agree within the proven 3 N u
+    for m, p, n, kmax in ((8, 0.05, 3, 9), (9, 0.05, 3, 20), (10, 0.03, 3, 40),
+                          (12, 0.03, 2, 9), (9, 0.3, 4, 40), (10, 0.05, 2, 9)):
+        alone = exact_scan_cdf(BernoulliScanSpec(m, p, 2 * m, n))
+        q1 = block_q_sequence(m, p, n, kmax).q(1)
+        assert abs(q1 - alone) <= 3 * 2 * m * U * alone, (m, p, n, kmax)
+    alone = exact_scan_cdf(BernoulliScanSpec(8, 0.03, 16, 3))
+    assert abs(scan_approximation(8, 0.03, 20, 3).q1 - alone) <= 3 * 16 * U * alone
