@@ -473,10 +473,12 @@ def p_from_q(q: QSequence) -> tuple[float, float, float, float]:
     return _p_from_complements([1.0 - q.q(k) for k in range(1, 5)])
 
 
-def _approximant(q: tuple, n: int, alpha: float, third_order: bool):
+def _approximant(q: tuple, n: int, alpha: float, third_order: bool,
+                 coeffs: ErrorCoefficients | None = None):
     """Check (q_1, .., q_4) and return (value, bound) of the four-term
     approximant mu1 / T1**n or the two-term nu1 / C1**n, the centers at
-    p = p_from_q(q); or Inapplicable when 1 - q1 > 0.1."""
+    p = p_from_q(q); or Inapplicable when 1 - q1 > 0.1.  ``coeffs`` are
+    ``error_coefficients(alpha)``, computed here when not given."""
     q1, q2, q3, q4 = q
     if not (0.0 <= q2 <= q1 + _SLACK and q1 <= 1.0 + _SLACK):
         raise ValueError("need 0 <= q2 <= q1 <= 1")
@@ -495,7 +497,8 @@ def _approximant(q: tuple, n: int, alpha: float, third_order: bool):
     if alpha <= 0.0:
         # q1 = 1 forces q2 = 1 for a valid q-sequence: degenerate exact case.
         return 1.0, 0.0
-    coeffs = error_coefficients(alpha)
+    if coeffs is None:
+        coeffs = error_coefficients(alpha)
     c1, t1, nu1, mu1 = _centers(*_p_from_complements([1.0 - qk for qk in q]))
     if third_order:
         return mu1 / t1**n, (coeffs.Gamma + n * coeffs.K) * a1**3

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from decimal import ROUND_DOWN, Decimal
 
 from .extremes import (
+    ALPHA_MAX,
     ErrorCoefficients,
     Inapplicable,
-    approx_qn_T3,
-    approx_qn_T4,
+    _approximant,
     error_coefficients,
     legacy_scan_bound,
 )
@@ -172,18 +172,20 @@ def scan_approximation(
     if want_T3:
         q3, q4 = cdf[4], cdf[5]
 
-    # beyond 1 - q1 = 0.1 both approximants are Inapplicable, and so is the
-    # older bound, whose range ends at 0.025
-    t4 = approx_qn_T4(q1, q2, L - 1, alpha)
+    # the (value, bound) pairs of approx_qn_T4 and approx_qn_T3, which share
+    # the coefficients at alpha.  Beyond 1 - q1 = 0.1 both approximants are
+    # Inapplicable, and so is the older bound, whose range ends at 0.025
+    coeffs = error_coefficients(alpha) if 0.0 < alpha <= ALPHA_MAX else None
+    t4 = _approximant((q1, q2, q2, q2), L - 1, alpha, False, coeffs)
     fits = not isinstance(t4, Inapplicable)
-    t3 = approx_qn_T3(q1, q2, q3, q4, L - 1, alpha) if fits and want_T3 else None
+    t3 = _approximant((q1, q2, q3, q4), L - 1, alpha, True, coeffs) if fits and want_T3 else None
     eh = legacy_scan_bound(q1, L)
     return ScanReport(
         m=m, p=p, L=L, n=n, q1=q1, q2=q2, alpha_used=alpha,
-        approx_T4=t4.value if fits else None, E=t4.delta2 if fits else None,
+        approx_T4=t4[0] if fits else None, E=t4[1] if fits else None,
         EH=None if isinstance(eh, Inapplicable) else eh,
         exact=exact, q3=q3, q4=q4,
-        approx_T3=t3.value if t3 else None, E_T3=t3.delta1 if t3 else None,
+        approx_T3=t3[0] if t3 else None, E_T3=t3[1] if t3 else None,
         range_exceeded=not fits,
     )
 

@@ -51,17 +51,26 @@ __all__ = [
 # C(m, n) chain states, at a peak of 32 (1 + n/m) bytes each (two vectors,
 # the weights and the successor index; the index build peaks near 27 bytes):
 # every n fits up to m = 26, where C(26, 13) = 10 400 600 states take 0.5 GB.
-# The successor index of a chain of at most 2**14 states (at most 256 KiB)
-# is kept across calls, 64 of them at most: 16 MiB retained in all.  Its
-# split index holds two positions of at most 16 bits for each of at most
-# 2 S blocks (at most 128 KiB), 64 of them at most: 8 MiB.
+# A chain of at most 2**14 states keeps its plan, the arrays a call needs
+# that do not depend on p, across calls, 64 plans at most: a successor index
+# of at most 256 KiB; for a split chain two positions of at most 16 bits for
+# each of at most 2 S blocks, at most 128 KiB; and for a chain of at most
+# 256 states the power operator's 2 S + 1 positions and row w0, at most
+# 6 KiB.  So a plan takes at most 384 KiB and the cache at most 24 MiB.
 # A chain of S <= 256 states takes binary powers of its dense tail operator
-# when S**2 * N.bit_length() <= 400 * N.  Measured with numpy 2.4.6 and
-# OpenBLAS on 2 CPUs: a step of a small chain costs 1.5-5 us of numpy
-# dispatch whatever S is, and powers win from about 1000 * N at S <= 84 and
-# 400 * N at S = 210, so 400 keeps them to the inputs where they win.  Past
-# 256 states the squarings' S**3 arithmetic, not dispatch, sets their cost,
-# and the powers' 2 (S + 1)**2 doubles would grow with N without bound.
+# when S**2 * N.bit_length() <= 400 * N.  Past 256 states the squarings'
+# S**3 arithmetic, not dispatch, sets their cost, and the powers' 2 (S + 1)**2
+# doubles would grow with N without bound.  Measured with numpy 2.4.6 and
+# OpenBLAS on 2 shared CPUs at p = 0.03, best of 7 interleaved runs:
+# * calls with 5 to 8 stops, the block sequences and reports of the paper's
+#   tables: where the rule picks powers they won every case, e.g. at (12, 2)
+#   with stops 24..240 in 117 against 194 us, at (8, 6) with 16..160 in 30
+#   against 212 us and at (10, 2) with 20..90 in 66 against 112 us;
+# * single stops near the rule's N, where the split is faster: powers win at
+#   the rule's N for S = 28, from 1.5-2 times it for S = 45-84 (at (12, 2),
+#   1.55 times the split's time at N = 77, 0.95 at 154) and from 3-5 times it
+#   for S = 120-210 (at (10, 3), 3.2 times at N = 324, 0.82 at 1620).
+# Moving the rule would switch engines and so change last bits.
 MAX_CHAIN_STATES = 1 << 24
 # A stepped pass costs about 3.5 ns per state and step at C(20, 10) states,
 # so 2**36 state-steps is about 4 minutes.  Powers are exempt: S <= 256 and
@@ -181,73 +190,33 @@ def _successor_index(m: int, n: int) -> np.ndarray:
     return idx
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_successor_index(m: int, n: int) -> np.ndarray:
-    """``_successor_index(m, n)``, built once per (m, n) for small chains
-    and read-only, so callers may share it."""
-    idx = _successor_index(m, n)
-    idx.flags.writeable = False
-    return idx
-
-
-def _chain(m: int, p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The successor index of ``_successor_index(m, n)`` and the weight of
-    each entry: q for a failure successor, p for a success successor."""
-    S, E = math.comb(m, n), math.comb(m - 1, n)
-    build = _cached_successor_index if S <= _CACHED_CHAIN_STATES else _successor_index
-    return build(m, n), np.concatenate((np.full(S, 1.0 - p), np.full(S - E, p)))
-
-
-def _survival_vectors(m: int, p: float, n: int, stops, tail: bool = False):
-    """Yield u_t over the words of ``_budget_words(m, n)`` at each of the
-    ascending ``stops``, as a view of a buffer the next step overwrites;
-    with ``tail``, yield v_t = 1 - u_t instead.
-
-    A step is one gather of the S = C(m, n) failure successors and the
-    C(m - 1, n - 1) success successors, one scaling by q or p and one add
-    into the odd block; the tail form adds p to the even block as well.
-    """
-    S, E = math.comb(m, n), math.comb(m - 1, n)
-    idx, weight = _chain(m, p, n)
-    # take copies a read-only index on every call; copy a shared one once
-    idx = np.require(idx, requirements="W")
-    size = idx.shape[0]
-    start = np.zeros(size) if tail else np.ones(size)
-    cur, nxt = ((u, u[:E], u[E:S], u[S:]) for u in (start, np.empty(size)))
-    t = 0
-    for stop in stops:
-        for _ in range(stop - t):
-            u, even, odd, succ = nxt
-            # every index is in range; "clip" skips a buffered bounds check
-            cur[0].take(idx, out=u, mode="clip")
-            np.multiply(u, weight, out=u)
-            np.add(odd, succ, out=odd)
-            if tail:
-                np.add(even, p, out=even)
-            cur, nxt = nxt, cur
-        t = stop
-        yield cur[0][:S]
-
-
 def _start(m: int, n: int) -> int:
     """Position of the empty past w0 = (1 << n) - 1, the first odd word."""
     return math.comb(m - 1, n) if n else 0
 
 
-@functools.lru_cache(maxsize=64)
-def _split_index(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache  # at most 2016 pairs (m, n), since m <= 63
+def _splits(m: int, n: int) -> bool:
+    """Whether ``_chain_survival`` splits the chain: at most 2**14 states
+    and at most twice as many middle blocks of m - 1 trials holding at most
+    n successes (every n <= m / 2 among them)."""
+    states = math.comb(m, n)
+    blocks = sum(math.comb(m - 1, j) for j in range(n + 1))
+    return states <= _CACHED_CHAIN_STATES and blocks <= 2 * states
+
+
+def _split_index(m: int, n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The states sigma and tau reached by reading each block of m - 1
-    trials with at most n successes forward and backward from w0.
+    trials with at most n successes forward and backward from w0, through
+    the successor index ``idx``.
 
     Blocks are grouped by their number of successes j, ascending, so the
     C(m - 1, j) blocks of each j are contiguous.  A block never exceeds the
     budget on the way, so every success lands on an odd word, whose success
     successor sits S - E entries after its failure successor in the index.
     Positions are stored in the narrowest unsigned type that holds S - 1.
-    Built once per (m, n), for chains that ``_chain_survival`` splits.
     """
     S, E = math.comb(m, n), math.comb(m - 1, n)
-    idx = _cached_successor_index(m, n)
     codes = np.zeros(1, dtype=np.int64)  # bit i - 1 is trial i of the block
     ones = np.zeros(1, dtype=np.int8)
     for i in range(m - 1):
@@ -260,10 +229,117 @@ def _split_index(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         at = np.full(codes.shape, _start(m, n), dtype=np.int64)
         for i in order:
             at = idx.take(at + ((codes >> i) & 1) * (S - E))
-        at = at.astype(np.min_scalar_type(S - 1))
-        at.flags.writeable = False
-        out.append(at)
+        out.append(at.astype(np.min_scalar_type(S - 1)))
     return tuple(out)
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """The arrays of a chain call that do not depend on p.
+
+    ``index`` is ``_successor_index(m, n)``.  A chain that ``_splits`` also
+    has ``counts``, the C(m - 1, j) middle blocks with j successes for
+    j = 0..n, and their ``sigma`` and ``tau`` from ``_split_index``.  A
+    chain of at most 256 states also has ``cells``, the flat positions in
+    the (S + 1) x (S + 1) power operator of its q entries, then of its p
+    entries and then of its constant 1, and ``origin``, row w0 of the
+    identity.  So a call builds only what depends on p.
+    """
+
+    index: np.ndarray
+    counts: np.ndarray | None = None
+    sigma: np.ndarray | None = None
+    tau: np.ndarray | None = None
+    cells: np.ndarray | None = None
+    origin: np.ndarray | None = None
+
+
+def _build_plan(m: int, n: int) -> _Plan:
+    """The plan of the chain of C(m, n) states; see ``_Plan``."""
+    S, E = math.comb(m, n), math.comb(m - 1, n)
+    index = _successor_index(m, n)
+    parts = {}
+    if _splits(m, n):
+        parts["counts"] = np.array([math.comb(m - 1, j) for j in range(n + 1)])
+        parts["sigma"], parts["tau"] = _split_index(m, n, index)
+    if S <= _POWER_CHAIN_STATES:
+        # row w holds q at fail(w), p at succ(w) if w is odd and p in the last
+        # column if w is even; the last row keeps the constant, A[S, S] = 1
+        rows = np.concatenate((np.arange(S), np.arange(E, S), np.arange(E), [S]))
+        cols = np.concatenate((index, np.full(E + 1, S)))
+        parts["cells"] = rows * (S + 1) + cols
+        parts["origin"] = np.zeros(S + 1)
+        parts["origin"][_start(m, n)] = 1.0
+    return _Plan(index, **parts)
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_plan(m: int, n: int) -> _Plan:
+    """``_build_plan(m, n)``, built once per (m, n) and read-only, so
+    callers may share it."""
+    plan = _build_plan(m, n)
+    for a in (plan.index, plan.counts, plan.sigma, plan.tau, plan.cells, plan.origin):
+        if a is not None:
+            a.flags.writeable = False
+    return plan
+
+
+def _plan(m: int, n: int) -> _Plan:
+    """The plan of (m, n): the cached one for a chain of at most 2**14
+    states, a fresh build for a larger one."""
+    build = _cached_plan if math.comb(m, n) <= _CACHED_CHAIN_STATES else _build_plan
+    return build(m, n)
+
+
+def _survival_vectors(m: int, p: float, n: int, stops, tail: bool = False):
+    """Yield u_t over the words of ``_budget_words(m, n)`` at each of the
+    ascending ``stops``, as a view of a buffer the next step overwrites;
+    with ``tail``, yield v_t = 1 - u_t instead.
+
+    A step is one gather of the S = C(m, n) failure successors and the
+    C(m - 1, n - 1) success successors, one scaling by q or p and one add
+    into the odd block; the tail form adds p to the even block as well.
+    """
+    S, E = math.comb(m, n), math.comb(m - 1, n)
+    # the index first: a fresh one is built before the buffers are taken,
+    # and take copies a read-only index on every call, so copy a shared one once
+    idx = _plan(m, n).index
+    if not idx.flags.writeable:
+        idx = idx.copy()
+    size = idx.shape[0]
+    weight, start = np.empty(size), np.empty(size)
+    weight[:S] = 1.0 - p
+    weight[S:] = p
+    start.fill(0.0 if tail else 1.0)
+    mul, add = np.multiply, np.add
+    # (take, buffer, even block, odd block, success successors) of each buffer
+    cur, nxt = [(u.take, u, u[:E], u[E:S], u[S:]) for u in (start, np.empty(size))]
+    t = 0
+    for stop in stops:
+        (take1, u1, even1, odd1, succ1), (take2, u2, even2, odd2, succ2) = cur, nxt
+        # two steps a turn keep the buffers in their roles, and an odd last
+        # step swaps them; every index is in range, so "clip" skips a
+        # buffered bounds check
+        for _ in range((stop - t) >> 1):
+            take1(idx, None, u2, "clip")
+            mul(u2, weight, u2)
+            add(odd2, succ2, odd2)
+            if tail:
+                add(even2, p, even2)
+            take2(idx, None, u1, "clip")
+            mul(u1, weight, u1)
+            add(odd1, succ1, odd1)
+            if tail:
+                add(even1, p, even1)
+        if (stop - t) & 1:
+            take1(idx, None, u2, "clip")
+            mul(u2, weight, u2)
+            add(odd2, succ2, odd2)
+            if tail:
+                add(even2, p, even2)
+            cur, nxt = nxt, cur
+        t = stop
+        yield cur[1][:S]
 
 
 def _split_survival(m: int, p: float, n: int, stops, tail: bool) -> dict[int, float]:
@@ -286,29 +362,38 @@ def _split_survival(m: int, p: float, n: int, stops, tail: bool) -> dict[int, fl
     u at each l and r it reaches; r - l is 0 or 1, so it holds at most two
     gathered left sides, whatever the number of stops.
     """
-    sigma, tau = _split_index(m, n)
+    plan = _plan(m, n)
     q = 1.0 - p
-    weight = np.repeat([p**j * q**(m - 1 - j) for j in range(n + 1)],
-                       [math.comb(m - 1, j) for j in range(n + 1)])
+    weight = np.array([p**j * q**(m - 1 - j) for j in range(n + 1)]).repeat(plan.counts)
     rest = math.fsum(math.comb(m - 1, j) * p**j * q**(m - 1 - j)
                      for j in range(n + 1, m)) if tail else 0.0
     lefts, rights = set(), {}
     for N in stops:
         k = N - m + 1
-        lefts.add(k // 2)
+        if k > 1:
+            lefts.add(k // 2)
         rights.setdefault(k - k // 2, []).append((N, k // 2))
     steps = sorted(lefts | rights.keys())
     out, kept = {}, {}
     for t, u in zip(steps, _survival_vectors(m, p, n, steps, tail)):
         kept = {t - 1: kept[t - 1]} if t - 1 in kept else {}  # all a right side can need
         if t in lefts:
-            kept[t] = u.take(tau)
+            kept[t] = u.take(plan.tau)
         if t in rights:
-            b = u.take(sigma)
+            b = u.take(plan.sigma)
             for N, l in rights[t]:
-                a = kept[l]
-                terms = a + (1.0 - a) * b if tail else a * b
-                out[N] = rest + float((weight * terms).sum())
+                if not l:  # u_0 = 1 and v_0 = 0, so both forms join to b
+                    terms = b * weight
+                elif tail:  # a + (1 - a) b
+                    a = kept[l]
+                    terms = 1.0 - a
+                    terms *= b
+                    terms += a
+                    terms *= weight
+                else:
+                    terms = kept[l] * b
+                    terms *= weight
+                out[N] = rest + float(np.add.reduce(terms))
     return out
 
 
@@ -316,9 +401,10 @@ def _chain_powers(m: int, p: float, n: int, stops) -> list[tuple[float, float]]:
     """(P(S_m(N) <= n), P(S_m(N) > n)) for each of the ascending ``stops``,
     from binary powers of the tail operator.
 
-    A is the (S + 1) x (S + 1) matrix of the tail recursion, built from
-    ``_chain``: row w holds q at fail(w), p at succ(w) if w is odd, and p in
-    the last column if w is even; the last row keeps the constant, A[S, S] = 1.
+    A is the (S + 1) x (S + 1) matrix of the tail recursion, scattered to
+    the plan's ``cells``: row w holds q at fail(w), p at succ(w) if w is
+    odd, and p in the last column if w is even; the last row keeps the
+    constant, A[S, S] = 1.
     Row w0 of A**N then holds v_N(w0) in its last column and the survival
     operator's row, whose sum is u_N(w0), in the others.  Each stop starts
     from row w0 of the identity and takes the powers A**(2**j) of its set
@@ -326,25 +412,27 @@ def _chain_powers(m: int, p: float, n: int, stops) -> list[tuple[float, float]]:
     Every entry is non-negative, so nothing cancels: the survival is
     1 - v_N(w0) while the tail is at most 1/2, and the row sum beyond.
     """
-    S, E = math.comb(m, n), math.comb(m - 1, n)
-    idx, weight = _chain(m, p, n)
-    A = np.zeros((S + 1, S + 1))
-    A[np.concatenate((np.arange(S), np.arange(E, S))), idx] = weight
-    A[:E, S] = p
-    A[S, S] = 1.0
-    start = np.zeros(S + 1)
-    start[_start(m, n)] = 1.0
-    rows = [start] * len(stops)
+    S = math.comb(m, n)
+    plan = _plan(m, n)
+    entries = np.empty(2 * S + 1)
+    entries[:S] = 1.0 - p
+    entries[S:] = p
+    entries[-1] = 1.0
+    A, B = np.zeros((S + 1, S + 1)), np.empty((S + 1, S + 1))
+    A.reshape(-1)[plan.cells] = entries
+    rows = [plan.origin] * len(stops)
+    dot = np.dot  # the BLAS products of @ (gemm, gemv), with less dispatch
     for j in range(stops[-1].bit_length()):
         if j:
-            A = A @ A
+            dot(A, A, B)
+            A, B = B, A
         for i, N in enumerate(stops):
             if N >> j & 1:
-                rows[i] = rows[i] @ A
+                rows[i] = dot(rows[i], A)
     out = []
     for r in rows:
         t = float(r[S])
-        out.append((1.0 - t if t <= 0.5 else float(r[:S].sum()), t))
+        out.append((1.0 - t if t <= 0.5 else float(np.add.reduce(r[:S])), t))
     return out
 
 
@@ -404,10 +492,12 @@ def _chain_survival(m: int, p: float, n: int, trials, tail: bool = False) -> tup
     Memory.  Stepping peaks at 32 (1 + n/m) bytes per state, at most 64:
     two vectors, the weights and the successor index.  Powers hold two
     (S + 1)**2 matrices; the split adds O(blocks) per call, whatever the
-    number of stops.  The successor and split indexes of chains of at most
-    2**14 states are kept across calls, the 64 most recently used of each,
-    at most 16 MiB and 8 MiB; a larger chain builds its successor index on
-    every call.
+    number of stops.  A chain of at most 2**14 states keeps one read-only
+    plan of the arrays that do not depend on p (``_Plan``: the successor
+    index, the split's blocks and the power operator's positions) across
+    calls, the 64 most recently used, at most 384 KiB each and 24 MiB in
+    all; a larger chain builds its plan, the successor index alone, on
+    every call, before the arrays that depend on p.
     """
     certain = 0.0 if tail else 1.0  # the value where no window can exceed n
     if n >= m:
@@ -427,8 +517,7 @@ def _chain_survival(m: int, p: float, n: int, trials, tail: bool = False) -> tup
             pairs = _chain_powers(m, p, n, stops)  # (survival, tail) at each stop
             at = {N: pair[tail] for N, pair in zip(stops, pairs)}
         else:
-            blocks = sum(math.comb(m - 1, j) for j in range(n + 1))  # middle blocks to join
-            split = states <= _CACHED_CHAIN_STATES and blocks <= 2 * states
+            split = _splits(m, n)
             steps = (last - m + 2) // 2 if split else last
             if states * steps > MAX_STATE_STEPS:
                 raise CapacityError(
@@ -441,7 +530,7 @@ def _chain_survival(m: int, p: float, n: int, trials, tail: bool = False) -> tup
                 w0 = _start(m, n)
                 vectors = _survival_vectors(m, p, n, stops, tail)
                 at = {N: float(u[w0]) for N, u in zip(stops, vectors)}
-    return tuple(at.get(N, certain) for N in trials)
+    return tuple([at.get(N, certain) for N in trials])
 
 
 def exact_scan_cdf(spec: BernoulliScanSpec) -> float:

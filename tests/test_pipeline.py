@@ -6,6 +6,8 @@ import pickle
 
 import pytest
 
+from scanex import pipeline
+from scanex.extremes import approx_qn_T3, approx_qn_T4
 from scanex.pipeline import (
     SCAN_TABLE_PARAMS,
     format_bound,
@@ -122,6 +124,29 @@ def test_t3_report_fields():
     assert r.q3 is not None and r.q4 is not None
     assert r.q2 > r.q3 > r.q4
     assert abs(r.approx_T3 - r.approx_T4) <= r.E_T3 + r.E
+
+
+def test_report_computes_its_coefficients_once(monkeypatch):
+    # both approximants of a report share the coefficients at alpha, and
+    # give what the public two- and four-term functions give
+    alphas = []
+    real = pipeline.error_coefficients
+
+    def spy(alpha):
+        alphas.append(alpha)
+        return real(alpha)
+
+    monkeypatch.setattr(pipeline, "error_coefficients", spy)
+    for m, p, L, n in ((9, 0.05, 10, 3), (10, 0.0165, 15, 1), (12, 0.03, 20, 5)):
+        r = scan_approximation(m, p, L, n, want_T3=True)
+        assert alphas == [r.alpha_used]
+        alphas.clear()
+        t4 = approx_qn_T4(r.q1, r.q2, L - 1, r.alpha_used)
+        t3 = approx_qn_T3(r.q1, r.q2, r.q3, r.q4, L - 1, r.alpha_used)
+        assert (r.approx_T4, r.E, r.approx_T3, r.E_T3) == (t4.value, t4.delta2, t3.value, t3.delta1)
+    # beyond 1 - q1 = 0.1 neither approximant needs them
+    assert scan_approximation(9, 0.3, 10, 3, want_T3=True).range_exceeded
+    assert alphas == []
 
 
 # ----------------------------------------------------------------- sandwich

@@ -1,10 +1,12 @@
 """Exact scan engines against closed forms and a test-local enumerator."""
 
+import dataclasses
 import itertools
 import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -21,9 +23,11 @@ from scanex.scan_exact import (
     MAX_STATE_STEPS,
     BernoulliScanSpec,
     _budget_words,
-    _cached_successor_index,
+    _build_plan,
+    _cached_plan,
     _chain_powers,
     _chain_survival,
+    _plan,
     _split_index,
     _split_survival,
     _start,
@@ -287,10 +291,10 @@ def test_work_cap(monkeypatch):
     # r = 93 at N = 205 and to 94 at N = 207; the refusal builds nothing
     monkeypatch.setattr(scan_exact, "MAX_STATE_STEPS", 1140 * 93)
     assert 0.0 < exact_scan_cdf(BernoulliScanSpec(20, 0.05, 205, 3)) < 1.0
-    before = _split_index.cache_info()
+    before = _cached_plan.cache_info()
     with pytest.raises(CapacityError, match="state-steps"):
         exact_scan_cdf(BernoulliScanSpec(20, 0.05, 207, 3))
-    assert _split_index.cache_info() == before
+    assert _cached_plan.cache_info() == before
     # an unsplit chain counts every trial: C(18, 6) = 18 564 states
     monkeypatch.setattr(scan_exact, "MAX_STATE_STEPS", 18_564 * 40)
     assert 0.0 < exact_scan_cdf(BernoulliScanSpec(18, 0.05, 40, 6)) < 1.0
@@ -408,34 +412,112 @@ def test_block_capacity():
             block_sequence(3, 1.5, 1, 2)
 
 
-# ------------------------------------------------- successor index cache
+# ------------------------------------------------------------ plan cache
+
+
+PLAN_ARRAYS = ("index", "counts", "sigma", "tau", "cells", "origin")
 
 
 def test_cached_index_is_a_read_only_fresh_build():
+    # every array of a cached plan equals a fresh build and is read-only
     for m in range(1, 15):
         for n in range(m):
-            cached = _cached_successor_index(m, n)
-            assert np.array_equal(cached, _successor_index(m, n)), (m, n)
-            assert _cached_successor_index(m, n) is cached
-            with pytest.raises(ValueError):
-                cached[0] = 0
+            cached, fresh = _cached_plan(m, n), _build_plan(m, n)
+            assert np.array_equal(cached.index, _successor_index(m, n)), (m, n)
+            assert _cached_plan(m, n) is cached
+            for name in PLAN_ARRAYS:
+                a, b = getattr(cached, name), getattr(fresh, name)
+                assert (a is None) == (b is None), (m, n, name)
+                if a is not None:
+                    assert np.array_equal(a, b) and a.dtype == b.dtype, (m, n, name)
+                    assert not a.flags.writeable and b.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[0] = 0
 
 
 def test_one_index_build_per_chain():
-    _cached_successor_index.cache_clear()
+    _cached_plan.cache_clear()
     scan_approximation(9, 0.05, 10, 3, want_exact=True, want_T3=True)
     scan_approximation(9, 0.3, 4, 3)
     block_q_sequence(9, 0.05, 3, kmax=8)
     block_p_sequence(9, 0.05, 3, kmax=8)
-    info = _cached_successor_index.cache_info()
+    info = _cached_plan.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
-def test_large_chains_are_not_cached():
-    # C(18, 6) = 18 564 states, above the 2**14 kept across calls
-    before = _cached_successor_index.cache_info()
-    assert 0.0 < exact_scan_cdf(BernoulliScanSpec(18, 0.05, 40, 6)) < 1.0
-    assert _cached_successor_index.cache_info() == before
+def counting_builds(monkeypatch):
+    """The (m, n) of every plan built from here on, cached or not."""
+    built = []
+    real = scan_exact._build_plan
+
+    def spy(m, n):
+        built.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(scan_exact, "_build_plan", spy)
+    return built
+
+
+def test_one_plan_per_chain_whichever_engine_reads_it(monkeypatch):
+    # C(9, 3) = 84 states split at N = 90 and square at N = 1000; C(9, 6) =
+    # 84 states have 247 middle blocks, so they step at 90 and square at 1000
+    assert scan_exact._splits(9, 3) and not scan_exact._splits(9, 6)
+    for n in (3, 6):
+        assert engines_run(monkeypatch, 9, 0.05, 90, n) == ["_survival_vectors"]
+        assert engines_run(monkeypatch, 9, 0.05, 1000, n) == ["_chain_powers"]
+    _cached_plan.cache_clear()
+    built = counting_builds(monkeypatch)
+    for m, n in ((9, 3), (9, 6)):
+        for tail in (False, True):
+            for trials in ((9,), (90,), (1000,), (20, 90, 1000)):
+                _chain_survival(m, 0.05, n, trials, tail)
+        block_q_sequence(m, 0.05, n, kmax=8)
+        block_p_sequence(m, 0.05, n, kmax=8)
+        sandwich(m, 0.05, 100, n)
+    assert built == [(9, 3), (9, 6)]
+    assert _cached_plan.cache_info().currsize == 2
+
+
+def test_capacity_errors_build_no_plan(monkeypatch):
+    built = counting_builds(monkeypatch)
+    with pytest.raises(CapacityError, match="states"):
+        exact_scan_cdf(BernoulliScanSpec(27, 0.5, 60, 13))
+    with pytest.raises(CapacityError, match="63 bits"):
+        exact_scan_cdf(BernoulliScanSpec(64, 0.5, 100, 1))
+    with pytest.raises(CapacityError, match="state-steps"):
+        exact_scan_cdf(BernoulliScanSpec(20, 0.05, 10**9, 10))  # not cached
+    monkeypatch.setattr(scan_exact, "MAX_STATE_STEPS", 1140 * 93)
+    _cached_plan.cache_clear()
+    with pytest.raises(CapacityError, match="state-steps"):
+        exact_scan_cdf(BernoulliScanSpec(20, 0.05, 207, 3))  # cached, split
+    assert built == []
+    assert _cached_plan.cache_info().currsize == 0
+
+
+def test_at_most_64_plans_are_kept():
+    _cached_plan.cache_clear()
+    chains = [(m, n) for m in range(1, 15) for n in range(m)]  # 105 cached chains
+    for m, n in chains:
+        exact_scan_cdf(BernoulliScanSpec(m, 0.05, m, n))
+    info = _cached_plan.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (64, 64, len(chains))
+    # the least recently used went first
+    _cached_plan(*chains[-1])
+    assert _cached_plan.cache_info().hits == info.hits + 1
+
+
+def test_large_chains_are_not_cached(monkeypatch):
+    # C(18, 6) = 18 564 states, above the 2**14 kept across calls, build
+    # their plan, the successor index alone, on every call
+    before = _cached_plan.cache_info()
+    built = counting_builds(monkeypatch)
+    for _ in range(2):
+        assert 0.0 < exact_scan_cdf(BernoulliScanSpec(18, 0.05, 40, 6)) < 1.0
+    assert _cached_plan.cache_info() == before
+    assert built == [(18, 6)] * 2
+    plan = _plan(18, 6)
+    assert plan.index.flags.writeable
+    assert all(getattr(plan, name) is None for name in PLAN_ARRAYS[1:])
 
 
 def test_uncached_chain_steps_within_its_memory():
@@ -456,7 +538,7 @@ def test_shared_index_is_thread_safe():
              for m, n in ((12, 5), (10, 3), (12, 11))
              for p, N in ((0.05, 200), (0.3, 41), (0.6, 120), (0.9, 15))]
     serial = [exact_scan_cdf(s) for s in specs]
-    _cached_successor_index.cache_clear()
+    _cached_plan.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so misses overlap
     try:
@@ -465,12 +547,51 @@ def test_shared_index_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert _cached_successor_index.cache_info().currsize == 3
+    assert _cached_plan.cache_info().currsize == 3
 
 
 # ------------------------------------------------------ stepping and powers
 
 U = 2.0**-53
+
+
+def reference_vectors(m, p, n, stops, tail):
+    """u_t, or v_t with ``tail``, at each of the ascending ``stops``, by the
+    recursion of the module comment: one take, one multiply and one add per
+    step (and p added to every even word for the tail)."""
+    S, E = math.comb(m, n), math.comb(m - 1, n)
+    idx = _successor_index(m, n)
+    weight = np.concatenate((np.full(S, 1.0 - p), np.full(S - E, p)))
+    u = np.full(idx.shape[0], 0.0 if tail else 1.0)
+    out, t = [], 0
+    for stop in stops:
+        for _ in range(stop - t):
+            u = u.take(idx) * weight
+            u[E:S] += u[S:]
+            if tail:
+                u[:E] += p
+        t = stop
+        out.append(u[:S].copy())
+    return out
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-4, 0.3, 1.0])
+def test_step_loop_equals_reference_steps(p):
+    # the stepping loop takes two steps per turn and an odd remaining step
+    # once per stop; every element equals the plain recursion's
+    for m in (1, 2, 3, 6, 9, 12):
+        last = 2 * m + 3
+        stop_lists = (list(range(last + 1)),       # every t from 0, gaps of 1
+                      [0, 0, 2, 5, 5, last, last],  # repeats, even and odd gaps
+                      [last], [last - 1], [1, last], [0, 3, last - 1])
+        for n in sorted({0, 1, m // 2, m - 1} & set(range(m))):
+            for tail in (False, True):
+                for stops in stop_lists:
+                    got = [u.copy() for u in _survival_vectors(m, p, n, stops, tail)]
+                    want = reference_vectors(m, p, n, stops, tail)
+                    assert len(got) == len(want) == len(stops)
+                    for t, a, b in zip(stops, got, want):
+                        assert (a == b).all(), (m, n, tail, stops, t)
 
 
 def stepped(m, p, n, stops, tail):
@@ -483,7 +604,15 @@ def powered(m, p, n, stops, tail):
 
 
 def split(m, p, n, stops, tail):
-    got = _split_survival(m, p, n, stops, tail)
+    """The split on any chain, also one that ``_chain_survival`` steps
+    because it has more than 2 S middle blocks."""
+    plan = _plan(m, n)
+    if plan.sigma is None:
+        sigma, tau = _split_index(m, n, plan.index)
+        counts = np.array([math.comb(m - 1, j) for j in range(n + 1)])
+        plan = dataclasses.replace(plan, counts=counts, sigma=sigma, tau=tau)
+    with mock.patch.object(scan_exact, "_plan", lambda m, n: plan):
+        got = _split_survival(m, p, n, stops, tail)
     return [got[N] for N in stops]
 
 
@@ -572,19 +701,28 @@ def budget_word(past, m, n):
 
 def test_split_index_reads_every_block():
     # (j, sigma, tau) of every block with at most n successes, against the
-    # states its forward and backward readings reach by definition
+    # states its forward and backward readings reach by definition; a chain
+    # that splits keeps them, read-only, in its plan
     for m in range(1, 9):
         for n in range(m):
             at = {w: i for i, w in enumerate(_budget_words(m, n).tolist())}
-            sigma, tau = _split_index(m, n)
+            sigma, tau = _split_index(m, n, _successor_index(m, n))
             counts = [math.comb(m - 1, j) for j in range(n + 1)]
+            plan = _plan(m, n)
+            if scan_exact._splits(m, n):
+                assert plan.counts.tolist() == counts
+                assert np.array_equal(plan.sigma, sigma) and np.array_equal(plan.tau, tau)
+                sigma = plan.sigma
+            else:
+                assert plan.sigma is None and plan.tau is None and plan.counts is None
             got = sorted(zip(np.repeat(range(n + 1), counts).tolist(), sigma.tolist(),
                              tau.tolist()))
             want = sorted((sum(b), at[budget_word(b, m, n)], at[budget_word(b[::-1], m, n)])
                           for b in itertools.product((0, 1), repeat=m - 1) if sum(b) <= n)
             assert got == want, (m, n)
-            with pytest.raises(ValueError):
-                sigma[0] = 0
+            if plan.sigma is not None:
+                with pytest.raises(ValueError):
+                    sigma[0] = 0
 
 
 @pytest.mark.parametrize("m, trials", [(5, (5, 16, 50, 150)), (7, (7, 22, 70, 210)),
